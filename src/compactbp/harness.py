@@ -297,13 +297,12 @@ def _write_study_csv(config, rows, used_reference) -> Path:
     for line in _meta_lines(config, extra):
         buf.write(line + "\r\n")
     buf.write("N,l1_error,l1_order,linf_error,linf_order,"
-              "min_u,max_u,conservation,walltime_s\r\n")
+              "min_u,max_u,conservation\r\n")
     for r in rows:
         l1o = "" if r.l1_order is None else f"{r.l1_order:.6f}"
         lio = "" if r.linf_order is None else f"{r.linf_order:.6f}"
         buf.write(f"{r.n},{r.l1_error:.16e},{l1o},{r.linf_error:.16e},{lio},"
-                  f"{r.min_u:.16e},{r.max_u:.16e},{r.conservation:.16e},"
-                  f"{r.walltime:.3f}\r\n")
+                  f"{r.min_u:.16e},{r.max_u:.16e},{r.conservation:.16e}\r\n")
     path.write_text(buf.getvalue(), encoding="ascii")
     return path
 

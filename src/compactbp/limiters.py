@@ -16,11 +16,14 @@ Out-of-range points come in two flavours and are treated differently:
   the clamping error is rebalanced proportionally across the run and its
   two in-range end points.
 
+Every entry point runs on one batched core that limits all lines of an
+array along one axis at once, so a 2D cascade level is a single call.
 All functions are pure: they never mutate their inputs and hold no state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +37,7 @@ class WeakMonotonicityError(ValueError):
     """A weighted mean left the invariant interval beyond tolerance."""
 
     def __init__(self, index, value, lo, hi):
-        self.index = int(index)
+        self.index = index
         self.value = float(value)
         super().__init__(
             f"weighted mean {value:.17g} at index {index} outside "
@@ -166,67 +169,87 @@ def classify_sets(u: np.ndarray, bounds: Bounds) -> SetClassification:
 
 
 # ---------------------------------------------------------------------------
-# Core redistribution passes
+# Batched core: every line of an array along one axis in one pass
 # ---------------------------------------------------------------------------
 
-def _check_means(means, lo, hi, tol):
-    bad = (means < lo - tol) | (means > hi + tol)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise WeakMonotonicityError(i, means[i], lo, hi)
+def _first(mask, values, shape, axis):
+    """Index in the caller's array, and value, of the first flagged point.
 
-
-def _transfer_pass(u, v, sources, lo, hi, tol, report, *, lower,
-                   left=None, right=None, periodic=True):
-    """Three-point redistribution for the given source indices.
-
-    Ratios are computed from the frozen input ``u`` while increments
-    accumulate on the working copy ``v``; sources end exactly on the bound.
-    ``left``/``right`` are fixed boundary values of an open segment: they
-    contribute headroom to the ratios, but their share of the transfer is
-    dropped and recorded as boundary exchange.
+    ``mask`` and ``values`` are in the core's ``(n, lines)`` layout;
+    ``shape`` is the caller's shape with the limited axis swapped to the front.
     """
-    n = u.size
+    mask, values = (a.reshape(shape).swapaxes(0, axis) for a in (mask, values))
+    idx = tuple(int(i) for i in np.argwhere(mask)[0])
+    return (idx[0] if len(idx) == 1 else idx), float(values[idx])
 
-    def neighbor(i, off):
-        j = i + off
-        if periodic:
-            return j % n, None
-        if j < 0:
-            return None, left
-        if j >= n:
-            return None, right
-        return j, None
 
-    for i in sources:
-        amount = (lo - u[i]) if lower else (u[i] - hi)
-        if amount <= 0.0:
-            continue
-        heads = []
-        total = 0.0
-        for off in (-1, 1):
-            j, fixed = neighbor(i, off)
-            if j is None and fixed is None:
-                continue  # segment end with a two-point mean row: no neighbour
-            val = u[j] if j is not None else fixed
-            head = max(val - lo, 0.0) if lower else max(hi - val, 0.0)
-            heads.append((j, head))
-            total += head
-        if total <= _TINY:
-            if amount > tol:
-                raise RedistributionError(
-                    f"no headroom to repair excursion of {amount:.3e} at index {i}")
-            v[i] = lo if lower else hi
-            continue
-        for j, head in heads:
-            if head == 0.0:
-                continue
-            share = head / total * amount
-            if j is None:
-                report.boundary_exchange += share if lower else -share
-                continue
-            v[j] += -share if lower else share
-        v[i] = lo if lower else hi
+def _sawtooth_sets(line, bounds, periodic):
+    """Member indices of the sawtooth sets of one line, and the whole-circle flag.
+
+    A set is a mixed-sign out-of-range run plus its two in-range end
+    points; on an open segment a run touching an end has only one.
+    """
+    if periodic:
+        cls = classify_sets(line, bounds)
+        n = line.size
+        return [(s + np.arange(k)) % n for s, k in cls.sawtooth_sets], cls.whole_circle
+    lo, hi = bounds.span
+    over, under = line > hi, line < lo
+    edges = np.diff(np.concatenate(([0], (over | under).astype(np.int8), [0])))
+    sets = [np.arange(max(s - 1, 0), min(e, line.size - 1) + 1)
+            for s, e in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))
+            if over[s:e].any() and under[s:e].any()]
+    return sets, False
+
+
+def _transfer(U, V, src, lower, lo, hi, tol, ends, shape, axis):
+    """Three-point transfer from every isolated source, all lines at once.
+
+    Ratios are frozen on the input ``U`` and sources end exactly on the
+    bound.  An out-of-range neighbour has no headroom, so sources never
+    feed each other and each neighbour takes the shares of its two
+    sources in the order a sweep in increasing index would give them.
+    Shares are signed (positive for the lower bound) and subtracted from
+    the neighbours.  Returns the shares leaving through the two ends,
+    which only a segment with fixed end values has.
+    """
+    bound = lo if lower else hi
+
+    def room(x):
+        return np.maximum(x - lo, 0.0) if lower else np.maximum(hi - x, 0.0)
+
+    heads = room(U)
+    if ends is None:
+        first, last = heads[-1], heads[0]
+    elif isinstance(ends, str):
+        first = last = np.zeros(U.shape[1])
+    else:
+        first, last = room(ends[0]), room(ends[1])
+    heads = np.concatenate((first[None], heads, last[None]))
+    h_left, h_right = heads[:-2], heads[2:]
+    total = h_left + h_right
+    amount = np.where(src, bound - U, 0.0)
+    ok = total > _TINY
+    stuck = src & ~ok & (np.abs(amount) > tol)
+    if stuck.any():
+        i, a = _first(stuck, amount, shape, axis)
+        raise RedistributionError(
+            f"no headroom to repair excursion of {abs(a):.3e} at index {i}")
+    amount[~ok] = 0.0
+    total[~ok] = 1.0
+    to_left = h_left / total * amount
+    to_right = h_right / total * amount
+    V[1:-1] -= to_right[:-2]
+    V[1:-1] -= to_left[2:]
+    if ends is None:
+        # at the wrap rows the right-hand source comes first in the sweep
+        V[0] = (V[0] - to_left[1]) - to_right[-1]
+        V[-1] = (V[-1] - to_left[0]) - to_right[-2]
+    elif len(V) > 1:
+        V[0] -= to_left[1]
+        V[-1] -= to_right[-2]
+    np.copyto(V, bound, where=src)
+    return to_left[0], to_right[-1]
 
 
 def _rebalance_set(u, v, members, lo, hi, tol):
@@ -262,31 +285,95 @@ def _rebalance_set(u, v, members, lo, hi, tol):
     v[members] = vv
 
 
-def _finalize(u, v, report, lo=None, hi=None, tol=0.0):
-    """Clip round-off residue onto the bounds and fill the report."""
-    if lo is not None:
-        exc = lo - v
-        mask = exc > 0
-        if mask.any():
-            worst = float(exc.max())
+def _limit(u, bounds, c, axis, ends):
+    """Limit every line of ``u`` along ``axis`` in one pass.
+
+    ``ends`` is None on periodic lines, ``"edge"`` on segments whose end
+    means are the two-point rows, or the pair of fixed values beyond the
+    two ends of a segment.  Only lines with an overshoot next to an
+    undershoot (or, periodic, no in-range point) are classified and
+    rebalanced set by set, in index order, because sets sharing an end
+    point interact.
+    """
+    u = np.asarray(u, dtype=float)
+    if c < 2.0:
+        raise ValueError(f"limiter requires c >= 2, got {c}")
+    lo, hi = bounds.span
+    tol = bounds.tol
+    lines = u.swapaxes(0, axis)
+    shape = lines.shape
+    U = lines.reshape(shape[0], -1)
+    # the extremes catch NaN and inf, and give the range check below
+    umin, umax = U.min(), U.max()
+    if not (math.isfinite(umin) and math.isfinite(umax)):
+        i, x = _first(~np.isfinite(U), U, shape, axis)
+        raise ValueError(f"non-finite value {x} at index {i}")
+    periodic = ends is None
+    if periodic:
+        means = apply_weighting(WeightOperator(c), U)
+    elif isinstance(ends, str):
+        means = np.empty_like(U)
+        means[1:-1] = (U[:-2] + c * U[1:-1] + U[2:]) / (c + 2.0)
+        means[0] = (c * U[0] + U[1]) / (c + 1.0)
+        means[-1] = (U[-2] + c * U[-1]) / (c + 1.0)
+    else:
+        ends = [np.full(U.shape[1], float(e)) for e in ends]
+        ext = np.concatenate((ends[0][None], U, ends[1][None]))
+        means = (ext[:-2] + c * ext[1:-1] + ext[2:]) / (c + 2.0)
+    if not (means.min() >= lo - tol and means.max() <= hi + tol):  # NaN ends fail too
+        i, x = _first(~((means >= lo - tol) & (means <= hi + tol)), means, shape, axis)
+        raise WeakMonotonicityError(i, x, lo, hi)
+    report = LimiterReport()
+    # copies keep the caller's memory order, so sums over the result add
+    # in the same order as over an array limited in place
+    if lo <= umin and umax <= hi:
+        return u.copy(order="K"), report
+    over = U > hi
+    under = U < lo
+
+    # lines with an overshoot next to an undershoot (or, periodic, without
+    # an in-range point) have sawtooth sets; their members are no sources
+    sources = over | under
+    mixed = sources.all(axis=0) if periodic else np.zeros(U.shape[1], dtype=bool)
+    if umax > hi and umin < lo:
+        mixed |= ((over[1:] & under[:-1]) | (under[1:] & over[:-1])).any(axis=0)
+        if periodic:
+            mixed |= (over[0] & under[-1]) | (under[0] & over[-1])
+    sets = []
+    for k in np.flatnonzero(mixed):
+        members, whole = _sawtooth_sets(U[:, k], bounds, periodic)
+        report.whole_circle_fallback |= whole
+        for idx in members:
+            sources[idx, k] = False
+            sets.append((k, idx))
+
+    V = U.copy(order="K")
+    exits = 0.0
+    for lower, side in ((True, under), (False, over)):
+        src = side & sources
+        if src.any():
+            left, right = _transfer(U, V, src, lower, lo, hi, tol, ends, shape, axis)
+            if not periodic:
+                exits = exits + left + right
+    for k, idx in sets:
+        _rebalance_set(U[:, k], V[:, k], idx, lo, hi, tol)
+    report.sawtooth_count = len(sets)
+    report.rebalance_used = bool(sets)
+
+    # clip round-off residue onto the bounds
+    for stray, bound, name in ((V < lo, lo, "below lower"), (V > hi, hi, "above upper")):
+        if stray.any():
+            worst = float(np.abs(V[stray] - bound).max())
             if worst > max(tol, _TINY):
-                raise RedistributionError(f"output below lower bound by {worst:.3e}")
-            v[mask] = lo
-    if hi is not None:
-        exc = v - hi
-        mask = exc > 0
-        if mask.any():
-            worst = float(exc.max())
-            if worst > max(tol, _TINY):
-                raise RedistributionError(f"output above upper bound by {worst:.3e}")
-            v[mask] = hi
-    changed = v != u
-    report.modified_count += int(np.count_nonzero(changed))
-    if changed.any():
-        report.max_displacement = max(report.max_displacement,
-                                      float(np.abs(v - u).max()))
-    report.conservation_residual += abs(float(v.sum()) - float(u.sum())
-                                        - report.boundary_exchange)
+                raise RedistributionError(f"output {name} bound by {worst:.3e}")
+            V[stray] = bound
+    report.modified_count = int(np.count_nonzero(V != U))
+    if report.modified_count:
+        report.max_displacement = float(np.abs(V - U).max())
+    report.boundary_exchange = float(np.sum(exits))
+    report.conservation_residual = float(
+        np.abs(V.sum(axis=0) - U.sum(axis=0) - exits).sum())
+    return V.reshape(shape).swapaxes(0, axis), report
 
 
 def limit_lower(u: np.ndarray, lower: float, c: float,
@@ -297,73 +384,30 @@ def limit_lower(u: np.ndarray, lower: float, c: float,
     tolerance) for every ``i`` with ``c >= 2``; only undershoot points and
     their immediate neighbours are modified.
     """
-    u = np.asarray(u, dtype=float)
-    if c < 2.0:
-        raise ValueError(f"limiter requires c >= 2, got {c}")
     tol = tolerance if tolerance is not None else 1e-12 * max(1.0, abs(lower))
-    means = apply_weighting(WeightOperator(c), u)
-    bad = means < lower - tol
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise WeakMonotonicityError(i, means[i], lower, np.inf)
-    v = u.copy()
-    report = LimiterReport()
-    sources = np.flatnonzero(u < lower)
-    _transfer_pass(u, v, sources, lower, np.inf, tol, report, lower=True)
-    _finalize(u, v, report, lo=lower, tol=tol)
-    return v, report
+    return _limit(u, Bounds(lower, np.inf, tol), c, 0, None)
 
 
-def limit_bounds(u: np.ndarray, bounds: Bounds, c: float) -> tuple[np.ndarray, LimiterReport]:
+def limit_bounds(u: np.ndarray, bounds: Bounds, c: float,
+                 axis: int = 0) -> tuple[np.ndarray, LimiterReport]:
     """Enforce ``v_i in [lower, upper]`` on periodic data, conservatively.
 
     Requires the c-weighted means of ``u`` to lie in the interval (up to
     tolerance).  Isolated excursions are repaired by three-point
     transfers; sawtooth runs are clamped and rebalanced within the run and
-    its two in-range end points, which preserves the global sum in every
-    admissible configuration (including the whole-circle case with no
-    in-range point at all).
+    its two in-range end points, which preserves the sum of every line in
+    every admissible configuration (including the whole-circle case with
+    no in-range point at all).  ``u`` may have any number of dimensions:
+    every line along ``axis`` is a separate periodic line, and the report
+    covers them all.  Non-finite input raises ``ValueError``.
     """
-    u = np.asarray(u, dtype=float)
-    if c < 2.0:
-        raise ValueError(f"limiter requires c >= 2, got {c}")
-    lo, hi = bounds.span
-    tol = bounds.tol
-    means = apply_weighting(WeightOperator(c), u)
-    _check_means(means, lo, hi, tol)
-    report = LimiterReport()
-    over = u > hi
-    under = u < lo
-    if not (over.any() or under.any()):
-        return u.copy(), report
-    cls = classify_sets(u, bounds)
-    n = u.size
-    in_sawtooth = np.zeros(n, dtype=bool)
-    for start, length in cls.sawtooth_sets:
-        in_sawtooth[(start + np.arange(length)) % n] = True
-    v = u.copy()
-    out = over | under
-    sources = np.flatnonzero(out & ~in_sawtooth)
-    _transfer_pass(u, v, sources[under[sources]], lo, hi, tol, report, lower=True)
-    _transfer_pass(u, v, sources[over[sources]], lo, hi, tol, report, lower=False)
-    for start, length in cls.sawtooth_sets:
-        members = (start + np.arange(length)) % n
-        _rebalance_set(u, v, members, lo, hi, tol)
-    report.sawtooth_count = len(cls.sawtooth_sets)
-    report.rebalance_used = bool(cls.sawtooth_sets)
-    report.whole_circle_fallback = cls.whole_circle
-    _finalize(u, v, report, lo=lo, hi=hi, tol=tol)
-    return v, report
+    return _limit(u, bounds, c, axis, None)
 
-
-# ---------------------------------------------------------------------------
-# Open (non-periodic) segment variant
-# ---------------------------------------------------------------------------
 
 def limit_bounds_segment(u: np.ndarray, bounds: Bounds, c: float, *,
                          left: float | None = None, right: float | None = None,
                          edge_rows: bool = False) -> tuple[np.ndarray, LimiterReport]:
-    """Bound enforcement on a finite segment.
+    """Bound enforcement on a finite segment (on each column of n-d input).
 
     Two end treatments are supported:
 
@@ -375,62 +419,11 @@ def limit_bounds_segment(u: np.ndarray, bounds: Bounds, c: float, *,
       ``(c u_1 + u_2)/(c+1)``; redistribution then stays entirely inside
       the segment and the sum is preserved exactly.
     """
-    u = np.asarray(u, dtype=float)
-    if c < 2.0:
-        raise ValueError(f"limiter requires c >= 2, got {c}")
-    lo, hi = bounds.span
-    tol = bounds.tol
-    n = u.size
     if edge_rows:
-        means = np.empty(n)
-        means[1:-1] = (u[:-2] + c * u[1:-1] + u[2:]) / (c + 2.0)
-        means[0] = (c * u[0] + u[1]) / (c + 1.0)
-        means[-1] = (u[-2] + c * u[-1]) / (c + 1.0)
-        lval = rval = None
-        periodic_ends = False
-    else:
-        if left is None or right is None:
-            raise ValueError("need fixed boundary values or edge_rows=True")
-        ext = np.concatenate(([left], u, [right]))
-        means = (ext[:-2] + c * ext[1:-1] + ext[2:]) / (c + 2.0)
-        lval, rval = float(left), float(right)
-        periodic_ends = False
-    _check_means(means, lo, hi, tol)
-    report = LimiterReport()
-    over = u > hi
-    under = u < lo
-    v = u.copy()
-    if over.any() or under.any():
-        out = over | under
-        runs = _runs_open(out)
-        in_sawtooth = np.zeros(n, dtype=bool)
-        sets = []
-        for start, length in runs:
-            idx = np.arange(start, start + length)
-            if over[idx].any() and under[idx].any():
-                first = max(start - 1, 0)
-                last = min(start + length, n - 1)
-                sets.append(np.arange(first, last + 1))
-                in_sawtooth[idx] = True
-        sources = np.flatnonzero(out & ~in_sawtooth)
-        _transfer_pass(u, v, sources[under[sources]], lo, hi, tol, report,
-                       lower=True, left=lval, right=rval, periodic=periodic_ends)
-        _transfer_pass(u, v, sources[over[sources]], lo, hi, tol, report,
-                       lower=False, left=lval, right=rval, periodic=periodic_ends)
-        for members in sets:
-            _rebalance_set(u, v, members, lo, hi, tol)
-        report.sawtooth_count = len(sets)
-        report.rebalance_used = bool(sets)
-    _finalize(u, v, report, lo=lo, hi=hi, tol=tol)
-    return v, report
-
-
-def _runs_open(mask: np.ndarray) -> list[tuple[int, int]]:
-    padded = np.concatenate(([False], mask, [False]))
-    d = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(d == 1)
-    ends = np.flatnonzero(d == -1)
-    return [(int(s), int(e - s)) for s, e in zip(starts, ends)]
+        return _limit(u, bounds, c, 0, "edge")
+    if left is None or right is None:
+        raise ValueError("need fixed boundary values or edge_rows=True")
+    return _limit(u, bounds, c, 0, (left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +476,12 @@ def cascade_limit(u: np.ndarray, bounds: Bounds, chain) -> tuple[np.ndarray, Lim
     point values are in bounds with the global sum preserved.
     """
     cs = _as_chain(chain)
-    u = np.asarray(u, dtype=float)
-    inner = apply_weighting_chain(cs[1:], u)
-    composed = apply_weighting(WeightOperator(cs[0]), inner)
-    _check_means(composed, bounds.lower, bounds.upper, bounds.tol)
-    x = inner
-    report = LimiterReport()
-    for level, c in enumerate(cs):
-        if level > 0:
-            x = solve_weighting(WeightOperator(c), x)
-        x, rep = limit_bounds(x, bounds, c)
-        report = report.merge(rep)
+    inner = apply_weighting_chain(cs[1:], np.asarray(u, dtype=float))
+    # limiting at the outermost c first checks the composed means
+    x, report = limit_bounds(inner, bounds, cs[0])
+    if len(cs) > 1:
+        x, rest = recover_point_values(x, cs[1:], bounds)
+        report = report.merge(rest)
     return x, report
 
 

@@ -3,10 +3,10 @@
 The 4th-order weightings act separately on the two indices (left
 multiplication for x, right multiplication for y); all of them commute, so
 the doubly weighted means satisfy a conservative explicit update and point
-values are recovered through per-line tridiagonal solves, limiting each
-line after each solve.  Line sweeps within one cascade level touch
-disjoint data, so their order (and any parallel schedule) cannot change
-the result; levels are sequential.
+values are recovered through per-line tridiagonal solves, limiting all
+lines of a cascade level in one batched call after each solve.  The lines
+of one level touch disjoint data, so batching them (or any other order)
+cannot change the result; levels are sequential.
 """
 
 from __future__ import annotations
@@ -228,21 +228,6 @@ class PeriodicScheme2D:
             out = out + q
         return out
 
-    def _limit_lines(self, v: np.ndarray, c: float, axis: int,
-                     report: LimiterReport) -> np.ndarray:
-        arr = v if axis == 0 else v.T
-        for j in range(arr.shape[1]):
-            line, rep = limit_bounds(arr[:, j], self.bounds, c)
-            arr[:, j] = line
-            if rep.modified_count:
-                report.modified_count += rep.modified_count
-                report.max_displacement = max(report.max_displacement,
-                                              rep.max_displacement)
-                report.conservation_residual += rep.conservation_residual
-                report.sawtooth_count += rep.sawtooth_count
-                report.rebalance_used |= rep.rebalance_used
-        return v
-
     def recover(self, q: np.ndarray, t: float = 0.0,
                 limiting: bool | None = None) -> tuple[np.ndarray, LimiterReport]:
         limiting = self.bp_limit if limiting is None else limiting
@@ -251,7 +236,8 @@ class PeriodicScheme2D:
         for c, axis in self.levels:
             v = ops.solve_weighting(ops.WeightOperator(c), v, axis=axis)
             if limiting:
-                v = self._limit_lines(v, c, axis, report)
+                v, rep = limit_bounds(v, self.bounds, c, axis=axis)
+                report = report.merge(rep)
         return v, report
 
     def euler_step(self, u: np.ndarray, t: float = 0.0,

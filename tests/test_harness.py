@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from compactbp.cli import main, parse_config_file
-from compactbp.harness import (RunConfig, error_norms, observed_order,
-                               run_convergence_study, run_single)
+from compactbp.harness import (RunConfig, error_norms, format_study_table,
+                               observed_order, run_convergence_study, run_single)
 
 
 class TestErrorNorms:
@@ -109,6 +109,18 @@ class TestStudy:
         assert lines[0].startswith("# problem:")
         header = [l for l in lines if l and not l.startswith("#")][0]
         assert header.split(",")[0] == "N"
+
+    def test_reproducible_csv(self, tmp_path):
+        # wall times stay in the printed table, out of the file
+        paths = []
+        for sub in ("a", "b"):
+            cfg = RunConfig(problem="linadv-sin4", order=4, integrator="ms4",
+                            T=0.1, bp_limiter=True, refine=(16, 32),
+                            out=str(tmp_path / sub))
+            rows, path = run_convergence_study(cfg)
+            paths.append(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert "sec" in format_study_table(rows)
 
     def test_constant_data_zero_errors(self):
         # a constant profile is a fixed point: errors vanish identically

@@ -1,0 +1,314 @@
+"""The batched limiter core against the per-point loop oracle, and its
+properties on admissible data.
+
+Admissible data is built as ``W^{-1}(means in bounds)``: point values
+whose c-weighted means lie inside the bounds, which is exactly the
+limiter's precondition.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import limiter_oracle as oracle
+from compactbp.limiters import Bounds, limit_bounds, limit_bounds_segment, limit_lower
+from compactbp.operators import WeightOperator, apply_weighting, solve_weighting
+from compactbp.problems import builtin
+from compactbp.schemes2d import PeriodicScheme2D, Problem2D, StepContext2D
+
+UNIT = Bounds(0.0, 1.0)
+
+
+def admissible(rng, shape, bounds, c, axis=0):
+    means = rng.uniform(bounds.lower, bounds.upper, shape)
+    return solve_weighting(WeightOperator(c), means, axis=axis)
+
+
+def same_bits(a, b):
+    """Equal values and equal signs of zero: the arrays are bit for bit equal."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def out_of_range(u, bounds):
+    return (u < bounds.lower) | (u > bounds.upper)
+
+
+def edge_row_field(rng, n, c):
+    """Point values whose two-point end rows and interior means are in [0, 1]."""
+    A = np.zeros((n, n))
+    for i in range(1, n - 1):
+        A[i, i - 1:i + 2] = np.array([1, c, 1]) / (c + 2)
+    A[0, :2] = [c / (c + 1), 1 / (c + 1)]
+    A[-1, -2:] = [1 / (c + 1), c / (c + 1)]
+    return np.linalg.solve(A, rng.uniform(0, 1, n))
+
+
+def fixed_end_field(rng, n, c, ends=None):
+    """Point values whose means, completed by two fixed end values, are in [0, 1]."""
+    left, right = rng.uniform(0, 1, 2) if ends is None else ends
+    rhs = rng.uniform(0, 1, n)
+    rhs[0] -= left / (c + 2)
+    rhs[-1] -= right / (c + 2)
+    A = (np.diag(np.full(n, c)) + np.diag(np.ones(n - 1), 1)
+         + np.diag(np.ones(n - 1), -1)) / (c + 2)
+    return np.linalg.solve(A, rhs), left, right
+
+
+class TestMatchesOracle:
+    CASES = [(8, 4.0, UNIT), (16, 10.0, UNIT), (33, 2.5, Bounds(-0.5, 1.5)),
+             (12, 4.0, Bounds(-2.0, -1.0)), (5, 2.5, UNIT)]
+
+    def test_periodic_lines(self):
+        rng = np.random.default_rng(11)
+        sawtooth = 0
+        for n, c, bounds in self.CASES:
+            for _ in range(300):
+                u = admissible(rng, n, bounds, c)
+                want, want_rep = oracle.limit_bounds(u, bounds, c)
+                got, rep = limit_bounds(u, bounds, c)
+                assert same_bits(got, want)
+                assert rep.modified_count == want_rep.modified_count
+                assert rep.sawtooth_count == want_rep.sawtooth_count
+                assert rep.whole_circle_fallback == want_rep.whole_circle_fallback
+                assert rep.max_displacement == want_rep.max_displacement
+                sawtooth += rep.sawtooth_count
+        assert sawtooth > 0  # the sets path was exercised
+
+    def test_lattice_with_sawtooth_and_whole_circle(self):
+        lattice = np.array([-0.25, 0.0, 0.5, 1.0, 1.25])
+        w = WeightOperator(4.0)
+        whole = sets = 0
+        for combo in itertools.product(range(5), repeat=5):
+            u = lattice[list(combo)]
+            means = apply_weighting(w, u)
+            if means.min() < 0.0 or means.max() > 1.0:
+                continue
+            want, want_rep = oracle.limit_bounds(u, UNIT, 4.0)
+            got, rep = limit_bounds(u, UNIT, 4.0)
+            assert same_bits(got, want)
+            assert rep.sawtooth_count == want_rep.sawtooth_count
+            whole += rep.whole_circle_fallback
+            sets += rep.sawtooth_count
+        assert whole > 0 and sets > whole
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_batched_columns(self, axis):
+        rng = np.random.default_rng(12 + axis)
+        for c in (2.5, 4.0, 10.0):
+            for _ in range(40):
+                shape = tuple(int(k) for k in rng.integers(3, 24, 2))
+                u = admissible(rng, shape, UNIT, c, axis=axis)
+                want, want_rep = oracle.limit_lines(u, UNIT, c, axis)
+                got, rep = limit_bounds(u, UNIT, c, axis=axis)
+                assert same_bits(got, want)
+                assert got.flags.f_contiguous == u.flags.f_contiguous
+                assert rep.modified_count == want_rep.modified_count
+                assert rep.sawtooth_count == want_rep.sawtooth_count
+                assert rep.max_displacement == want_rep.max_displacement
+
+    def test_keeps_memory_order(self):
+        # sums over the result add in the same order as over the input
+        rng = np.random.default_rng(19)
+        for u in (np.full((6, 5), 0.5), admissible(rng, (6, 5), UNIT, 2.5)):
+            got, rep = limit_bounds(np.asfortranarray(u), UNIT, 2.5)
+            assert got.flags.f_contiguous
+
+    def test_wrap_row_sources(self):
+        # rows 0 and n-1 take shares from sources on both sides, one of
+        # them across the wrap: the sweep order there differs from the
+        # interior rows
+        rng = np.random.default_rng(13)
+        hit = 0
+        for _ in range(3000):
+            n = int(rng.integers(4, 9))
+            u = admissible(rng, n, UNIT, 2.5)
+            out = out_of_range(u, UNIT)
+            if not ((out[1] and out[-1] and not out[0])
+                    or (out[0] and out[-2] and not out[-1])):
+                continue
+            hit += 1
+            want, _ = oracle.limit_bounds(u, UNIT, 2.5)
+            got, _ = limit_bounds(u, UNIT, 2.5)
+            assert same_bits(got, want)
+        assert hit > 20
+
+    def test_edge_row_segments(self):
+        rng = np.random.default_rng(14)
+        for c in (4.0, 10.0):
+            for _ in range(300):
+                u = edge_row_field(rng, int(rng.integers(2, 12)), c)
+                want, want_rep = oracle.limit_bounds_segment(u, UNIT, c, edge_rows=True)
+                got, rep = limit_bounds_segment(u, UNIT, c, edge_rows=True)
+                assert same_bits(got, want)
+                assert rep.modified_count == want_rep.modified_count
+                assert rep.boundary_exchange == 0.0
+
+    def test_fixed_end_segments(self):
+        rng = np.random.default_rng(15)
+        exchanged = 0
+        for c in (4.0, 10.0):
+            for _ in range(300):
+                u, left, right = fixed_end_field(rng, int(rng.integers(1, 12)), c)
+                want, want_rep = oracle.limit_bounds_segment(u, UNIT, c, left=left, right=right)
+                got, rep = limit_bounds_segment(u, UNIT, c, left=left, right=right)
+                assert same_bits(got, want)
+                assert rep.boundary_exchange == want_rep.boundary_exchange
+                exchanged += rep.boundary_exchange != 0.0
+        assert exchanged > 0
+
+    def test_segment_columns(self):
+        # n-d input limits each column as its own segment
+        rng = np.random.default_rng(16)
+        lines = [fixed_end_field(rng, 9, 4.0, ends=(0.3, 0.8))[0] for _ in range(30)]
+        got, rep = limit_bounds_segment(np.stack(lines, axis=1), UNIT, 4.0,
+                                        left=0.3, right=0.8)
+        exchange = 0.0
+        for k, line in enumerate(lines):
+            want, want_rep = oracle.limit_bounds_segment(line, UNIT, 4.0, left=0.3, right=0.8)
+            assert same_bits(got[:, k], want)
+            exchange += want_rep.boundary_exchange
+        assert exchange != 0.0
+        assert rep.boundary_exchange == pytest.approx(exchange, abs=1e-15)
+        edge = [edge_row_field(rng, 7, 10.0) for _ in range(20)]
+        got, _ = limit_bounds_segment(np.stack(edge, axis=1), UNIT, 10.0, edge_rows=True)
+        for k, line in enumerate(edge):
+            want, _ = oracle.limit_bounds_segment(line, UNIT, 10.0, edge_rows=True)
+            assert same_bits(got[:, k], want)
+
+    @pytest.mark.parametrize("problem, order", [("2d-pme-m3", "xy"), ("2d-convdiff", "yx")])
+    def test_2d_recovery(self, problem, order):
+        prob = builtin(problem)
+        scheme = PeriodicScheme2D(prob, StepContext2D(0.1, 0.1, 1e-4), sweep_order=order)
+        rng = np.random.default_rng(17)
+        q = rng.uniform(prob.bounds.lower, prob.bounds.upper, (20, 24))
+        want = q
+        for c, axis in scheme.levels:
+            want = solve_weighting(WeightOperator(c), want, axis=axis)
+            want, _ = oracle.limit_lines(want, prob.bounds, c, axis)
+        got, rep = scheme.recover(q)
+        assert same_bits(got, want)
+        assert rep.modified_count > 0
+        # same memory order as limiting in place, so sums add up alike
+        assert got.sum() == want.sum()
+
+
+def convection_scheme(bounds=UNIT, **kw):
+    prob = Problem2D(name="unit-adv", x_lo=0.0, x_hi=1.0, y_lo=0.0, y_hi=1.0,
+                     bounds=bounds, initial=lambda x, y: 0.5 + 0 * x,
+                     flux_x=lambda u: u, max_fprime=1.0)
+    return PeriodicScheme2D(prob, StepContext2D(0.1, 0.1, 1e-3), **kw)
+
+
+class TestReports2D:
+    def test_whole_circle_line_is_reported(self):
+        # one grid line has no in-range point at all (alternating
+        # 1.1/-0.1 has c=4 means 0.3/0.7); recovery must say so
+        field = np.full((8, 6), 0.5)
+        field[:, 3] = np.tile([1.1, -0.1], 4)
+        q = apply_weighting(WeightOperator(4.0), field, axis=0)
+        u, rep = convection_scheme().recover(q)
+        assert rep.whole_circle_fallback
+        assert rep.rebalance_used
+        assert u.min() >= 0.0 and u.max() <= 1.0
+        assert u.sum() == pytest.approx(field.sum(), abs=1e-12)
+
+    def test_one_call_matches_line_reports(self):
+        rng = np.random.default_rng(18)
+        u = admissible(rng, (16, 12), UNIT, 2.5, axis=1)
+        _, want = oracle.limit_lines(u, UNIT, 2.5, 1)
+        _, rep = limit_bounds(u, UNIT, 2.5, axis=1)
+        assert rep.modified_count == want.modified_count
+        assert rep.sawtooth_count == want.sawtooth_count
+        assert rep.rebalance_used == want.rebalance_used
+        assert rep.whole_circle_fallback == want.whole_circle_fallback
+        assert rep.conservation_residual == pytest.approx(want.conservation_residual,
+                                                          abs=1e-14)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_1d(self, bad):
+        u = np.full(9, 0.5)
+        u[3] = bad
+        with pytest.raises(ValueError, match="non-finite.*index 3"):
+            limit_bounds(u, UNIT, 4.0)
+        with pytest.raises(ValueError, match="non-finite.*index 3"):
+            limit_bounds_segment(u, UNIT, 4.0, edge_rows=True)
+        with pytest.raises(ValueError, match="non-finite.*index 3"):
+            limit_lower(u, 0.0, 4.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fixed_end_value(self, bad):
+        with pytest.raises(ValueError):
+            limit_bounds_segment(np.full(5, 0.5), UNIT, 4.0, left=bad, right=0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_2d(self, bad, axis):
+        u = np.full((6, 7), 0.5)
+        u[2, 5] = bad
+        with pytest.raises(ValueError, match=r"non-finite.*index \(2, 5\)"):
+            limit_bounds(u, UNIT, 4.0, axis=axis)
+
+
+# ---------------------------------------------------------------------------
+# Properties on admissible data
+# ---------------------------------------------------------------------------
+
+BOUNDS = [UNIT, Bounds(-0.5, 1.5), Bounds(-2.0, -1.0)]
+
+
+@st.composite
+def admissible_lines(draw):
+    n = draw(st.integers(3, 24))
+    c = draw(st.sampled_from([2.5, 4.0, 10.0]))
+    bounds = draw(st.sampled_from(BOUNDS))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    means = bounds.lower + (bounds.upper - bounds.lower) * np.array(fractions)
+    return solve_weighting(WeightOperator(c), means), bounds, c
+
+
+def scale(bounds):
+    return max(1.0, abs(bounds.lower), abs(bounds.upper))
+
+
+@settings(max_examples=300, deadline=None)
+@given(admissible_lines())
+def test_bounds_sum_and_locality(case):
+    u, bounds, c = case
+    v, _ = limit_bounds(u, bounds, c)
+    assert v.min() >= bounds.lower and v.max() <= bounds.upper
+    assert abs(v.sum() - u.sum()) <= 1e-13 * u.size * scale(bounds)
+    out = out_of_range(u, bounds)
+    shielded = ~(out | np.roll(out, 1) | np.roll(out, -1))
+    assert np.array_equal(v[shielded], u[shielded])
+
+
+@settings(max_examples=300, deadline=None)
+@given(admissible_lines(), st.integers(1, 23))
+def test_commutes_with_shifts(case, k):
+    u, bounds, c = case
+    v, rep = limit_bounds(u, bounds, c)
+    shifted, _ = limit_bounds(np.roll(u, k), bounds, c)
+    if rep.sawtooth_count == 0:
+        # shares reach a point in another order only at the wrap rows
+        assert np.allclose(shifted, np.roll(v, k), rtol=0, atol=1e-15 * scale(bounds))
+    else:
+        # sets sharing an end point are rebalanced in index order
+        assert shifted.min() >= bounds.lower and shifted.max() <= bounds.upper
+        assert abs(shifted.sum() - v.sum()) <= 1e-13 * u.size * scale(bounds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 12), st.integers(3, 12), st.sampled_from(BOUNDS),
+       st.integers(0, 2 ** 32 - 1))
+def test_2d_sweep_order(nx, ny, bounds, seed):
+    q = np.random.default_rng(seed).uniform(bounds.lower, bounds.upper, (nx, ny))
+    for order in ("xy", "yx"):
+        u, _ = convection_scheme(bounds, sweep_order=order).recover(q)
+        assert u.min() >= bounds.lower and u.max() <= bounds.upper
+        assert abs(u.sum() - q.sum()) <= 1e-13 * q.size * scale(bounds)
