@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+# Unused, but kept bound: the benchmark's tracer (solverbench/tracing.py)
+# wraps ``boundary.solve_banded`` by name and raises KeyError without it.
+from scipy.linalg import solve_banded  # noqa: F401
 
 from .limiters import Bounds, LimiterReport, limit_bounds_segment
 from .operators import solve_open_weighting
@@ -266,18 +268,6 @@ class DirichletConvDiffScheme:
             out = out + diff / self.ctx.dx ** 2
         return out
 
-    def _solve_corner_weighting(self, w: np.ndarray) -> np.ndarray:
-        """Solve the N x N tridiagonal with (10/11, 1/11) end rows."""
-        n = w.size
-        ab = np.zeros((3, n))
-        ab[1] = 10.0 / 12.0
-        ab[0, 1:] = 1.0 / 12.0
-        ab[2, :-1] = 1.0 / 12.0
-        ab[1, 0] = ab[1, -1] = 10.0 / 11.0
-        ab[0, 1] = 1.0 / 11.0
-        ab[2, -2] = 1.0 / 11.0
-        return solve_banded((1, 1), ab, w)
-
     def recover(self, q: np.ndarray, t: float,
                 limiting: bool | None = None) -> tuple[np.ndarray, LimiterReport]:
         limiting = self.bp_limit if limiting is None else limiting
@@ -288,7 +278,8 @@ class DirichletConvDiffScheme:
         w = np.asarray(q, dtype=float).copy()
         w[0] = kappa * w[0] + (1.0 - kappa) * u_left
         w[-1] = kappa * w[-1] + (1.0 - kappa) * u_right
-        v = self._solve_corner_weighting(w)
+        # the c = 10 weighting with (10/11, 1/11) end rows
+        v = solve_open_weighting(10.0, w, edge_rows=True)
         report = LimiterReport()
         if limiting:
             v, rep = limit_bounds_segment(v, bounds, 10.0, edge_rows=True)

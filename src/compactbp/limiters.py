@@ -518,6 +518,16 @@ def _minmod_rows(a1, a2, a3, p, dx):
     return np.where(smooth, a1, np.where(agree, mm, 0.0))
 
 
+def _next(x):
+    """Periodic ``x_{i+1}`` of a 1D array (``np.roll(x, -1)``)."""
+    return np.concatenate((x[1:], x[:1]))
+
+
+def _prev(x):
+    """Periodic ``x_{i-1}`` of a 1D array (``np.roll(x, 1)``)."""
+    return np.concatenate((x[-1:], x[:-1]))
+
+
 def tvb_flux(u: np.ndarray, ubar: np.ndarray, problem, dx: float,
              p: float) -> np.ndarray:
     """Total-variation-bounded numerical flux at the half points.
@@ -536,17 +546,23 @@ def tvb_flux(u: np.ndarray, ubar: np.ndarray, problem, dx: float,
     fp_b = 0.5 * (f_ub + speed * ubar)
     fm_b = 0.5 * (f_ub - speed * ubar)
 
-    fhat_p = 0.5 * (fp_u + np.roll(fp_u, -1))     # (f+(u_i) + f+(u_{i+1}))/2
-    fhat_m = 0.5 * (fm_u + np.roll(fm_u, -1))
-    dplus_p = np.roll(fp_b, -1) - fp_b            # forward differences at the means
-    dplus_m = np.roll(fm_b, -1) - fm_b
+    fm_b_next = _next(fm_b)
+    fhat_p = 0.5 * (fp_u + _next(fp_u))          # (f+(u_i) + f+(u_{i+1}))/2
+    fhat_m = 0.5 * (fm_u + _next(fm_u))
+    dplus_p = _next(fp_b) - fp_b                  # forward differences at the means
+    dplus_m = fm_b_next - fm_b
 
     dfp = fhat_p - fp_b
-    dfm = np.roll(fm_b, -1) - fhat_m
-    dfp_lim = _minmod_rows(dfp, dplus_p, np.roll(dplus_p, 1), p, dx)
-    dfm_lim = _minmod_rows(dfm, dplus_m, np.roll(dplus_m, -1), p, dx)
+    dfm = fm_b_next - fhat_m
+    dfp_lim = _minmod_rows(dfp, dplus_p, _prev(dplus_p), p, dx)
+    dfm_lim = _minmod_rows(dfm, dplus_m, _next(dplus_m), p, dx)
 
-    return (fp_b + dfp_lim) + (np.roll(fm_b, -1) - dfm_lim)
+    return (fp_b + dfp_lim) + (fm_b_next - dfm_lim)
+
+
+def flux_difference(fhat: np.ndarray) -> np.ndarray:
+    """Periodic ``fhat_{i+1/2} - fhat_{i-1/2}`` of half-point fluxes ``fhat[i] ~ f_{i+1/2}``."""
+    return fhat - _prev(fhat)
 
 
 def tvb_euler_step(u: np.ndarray, ubar: np.ndarray, problem, lam: float,
@@ -568,4 +584,4 @@ def tvb_euler_step(u: np.ndarray, ubar: np.ndarray, problem, lam: float,
             f"TVB bound preservation needs lam*max|f'| <= 1/12, got "
             f"{lam * problem.max_fprime:.6g}")
     fhat = tvb_flux(u, ubar, problem, dx, p)
-    return ubar - lam * (fhat - np.roll(fhat, 1))
+    return ubar - lam * flux_difference(fhat)

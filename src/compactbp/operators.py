@@ -4,7 +4,8 @@ Provides the coefficient families for 4th/6th/8th-order implicit (Pade-type)
 approximations of first and second derivatives, the normalized tridiagonal
 weighting matrices ``(1, c, 1)/(c+2)`` they induce, factorizations of the
 pentadiagonal weightings into pairs of such tridiagonals with ``c >= 2``,
-and O(N) cyclic/banded solvers for their inversion.
+and O(N) cyclic/open tridiagonal solvers for their inversion, which reuse
+LAPACK LU factors cached per grid size and weighting.
 
 All operators are immutable after construction and safe to share between
 concurrently running solver instances.
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 
 class CoefficientDomainError(ValueError):
@@ -195,25 +196,65 @@ class WeightOperator:
                 raise ValueError("rectangular weighting needs at least 3 points")
 
 
+def _periodic_pad(v: np.ndarray, width: int) -> np.ndarray:
+    """``v`` extended by ``width`` wrapped rows at each end of axis 0.
+
+    Row ``i + width + k`` of the result is ``v[(i + k) % n]`` for
+    ``|k| <= width <= n``, so the shifted operands of a periodic stencil
+    are plain slices of one copy.
+    """
+    return np.concatenate((v[-width:], v, v[:width]))
+
+
 def apply_weighting(w: WeightOperator, u: np.ndarray, axis: int = 0) -> np.ndarray:
     """Apply the weighting stencil exactly (no solve).
 
     Periodic topology maps length-N fields to length-N weighted means and
     preserves the mean; dirichlet topology maps N+2 values (including the
-    two boundary points) to N interior weighted means.
+    two boundary points) to N interior weighted means.  Both evaluate
+    ``(u_{i-1} + c u_i) + u_{i+1}``, then divide by ``c + 2``.
     """
     u = np.asarray(u, dtype=float)
     w._check_size(u, axis)
     c = w.c
-    if w.topology == "periodic":
-        return (np.roll(u, 1, axis=axis) + c * u + np.roll(u, -1, axis=axis)) / (c + 2.0)
-    lo = [slice(None)] * u.ndim
-    mid = [slice(None)] * u.ndim
-    hi = [slice(None)] * u.ndim
-    lo[axis] = slice(0, -2)
-    mid[axis] = slice(1, -1)
-    hi[axis] = slice(2, None)
-    return (u[tuple(lo)] + c * u[tuple(mid)] + u[tuple(hi)]) / (c + 2.0)
+    v = u.swapaxes(0, axis)
+    if w.topology == "dirichlet":
+        return ((v[:-2] + c * v[1:-1] + v[2:]) / (c + 2.0)).swapaxes(0, axis)
+    ext = _periodic_pad(v, 1)
+    out = c * u
+    o = out.swapaxes(0, axis)
+    # c u_i + u_{i-1} equals u_{i-1} + c u_i exactly (addition commutes)
+    o += ext[:-2]
+    o += ext[2:]
+    o /= c + 2.0
+    return out
+
+
+def _gttrf(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
+    """Read-only LAPACK LU factors ``(dl, d, du, du2, ipiv)`` of a tridiagonal."""
+    *factors, info = lapack.dgttrf(dl, d, du)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal weighting is singular (dgttrf info={info})")
+    for f in factors:
+        f.flags.writeable = False
+    return tuple(factors)
+
+
+def _gttrs(factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve with cached ``dgttrf`` factors (``rhs`` of shape (n,) or (n, m))."""
+    return lapack.dgttrs(*factors, rhs)[0]
+
+
+def _check_finite(rhs: np.ndarray) -> None:
+    """Reject NaN/inf, naming the first bad index in the caller's layout.
+
+    LAPACK has no finite check, and a non-finite right-hand side would
+    spread through the whole solution.
+    """
+    if not np.isfinite(rhs).all():
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(rhs))[0])
+        raise ValueError(f"non-finite value {rhs[idx]} at index "
+                         f"{idx[0] if len(idx) == 1 else idx}")
 
 
 @lru_cache(maxsize=128)
@@ -222,7 +263,8 @@ def _cyclic_workspace(n: int, c: float):
 
     The circulant matrix is written as T + outer(uvec, vvec) with T
     tridiagonal; T is strictly diagonally dominant for c >= 2 so the
-    banded elimination needs no pivoting.
+    LU factorization makes no row interchange.  Returns the factors of T
+    and the rank-one correction ``z = T^-1 uvec``, ``vvec``, ``1 + vvec z``.
     """
     d = c / (c + 2.0)
     off = 1.0 / (c + 2.0)
@@ -230,17 +272,15 @@ def _cyclic_workspace(n: int, c: float):
     diag = np.full(n, d)
     diag[0] = d - gamma
     diag[-1] = d - off * off / gamma
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1] = diag
-    ab[2, :-1] = off
+    band = np.full(n - 1, off)
+    factors = _gttrf(band, diag, band)
     uvec = np.zeros(n)
     uvec[0] = gamma
     uvec[-1] = off
     vvec = np.zeros(n)
     vvec[0] = 1.0
     vvec[-1] = off / gamma
-    z = solve_banded((1, 1), ab, uvec)
+    z = _gttrs(factors, uvec)
     denom = 1.0 + vvec @ z
     if abs(denom) < 1e-10:
         # the smallest eigenvalue (c - 2)/(c + 2) vanishes at c = 2 on
@@ -248,49 +288,59 @@ def _cyclic_workspace(n: int, c: float):
         raise np.linalg.LinAlgError(
             f"periodic weighting with c = {c} is (near-)singular for n = {n}; "
             "choose a family parameter strictly inside the admissible interval")
-    return ab, z, vvec, denom
+    z.flags.writeable = False
+    vvec.flags.writeable = False
+    return factors, z, vvec, denom
 
 
 def solve_weighting(w: WeightOperator, rhs: np.ndarray, axis: int = 0) -> np.ndarray:
     """Solve ``W x = rhs`` for a periodic weighting in O(N).
 
-    Deterministic cyclic elimination with a rank-one correction; the
-    residual satisfies ``||W x - rhs||_inf <= 1e-12 * ||rhs||_inf``.
+    LU solve of the cyclic system's tridiagonal part on factors cached per
+    ``(n, c)``, with a rank-one correction; the residual satisfies
+    ``||W x - rhs||_inf <= 1e-12 * ||rhs||_inf``.  Non-finite input
+    raises ``ValueError``.
     """
     if w.topology != "periodic":
         raise ValueError("solve_weighting requires a periodic (square) weighting")
     rhs = np.asarray(rhs, dtype=float)
     w._check_size(rhs, axis)
-    moved = np.moveaxis(rhs, axis, 0)
+    _check_finite(rhs)
+    moved = rhs.swapaxes(0, axis)
     n = moved.shape[0]
-    ab, z, vvec, denom = _cyclic_workspace(n, w.c)
-    flat = moved.reshape(n, -1)
-    y = solve_banded((1, 1), ab, flat)
+    factors, z, vvec, denom = _cyclic_workspace(n, w.c)
+    y = _gttrs(factors, moved.reshape(n, -1))
     corr = (vvec @ y) / denom
     x = y - z[:, None] * corr[None, :]
-    return np.moveaxis(x.reshape(moved.shape), 0, axis)
+    return x.reshape(moved.shape).swapaxes(0, axis)
 
 
 @lru_cache(maxsize=128)
-def _tridiag_workspace(n: int, c: float):
+def _tridiag_workspace(n: int, c: float, edge_rows: bool):
     d = c / (c + 2.0)
     off = 1.0 / (c + 2.0)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1] = d
-    ab[2, :-1] = off
-    return ab
+    diag = np.full(n, d)
+    lower = np.full(n - 1, off)
+    upper = np.full(n - 1, off)
+    if edge_rows:
+        diag[0] = diag[-1] = c / (c + 1.0)
+        upper[0] = lower[-1] = 1.0 / (c + 1.0)
+    return _gttrf(lower, diag, upper)
 
 
-def solve_open_weighting(c: float, rhs: np.ndarray) -> np.ndarray:
+def solve_open_weighting(c: float, rhs: np.ndarray, edge_rows: bool = False) -> np.ndarray:
     """Solve the non-cyclic square ``(1, c, 1)/(c+2)`` system.
 
     Used by boundary treatments where the endpoint couplings have been
-    moved to the right-hand side.
+    moved to the right-hand side.  ``edge_rows=True`` replaces the two end
+    rows by the two-point rows ``(c, 1)/(c+1)`` and ``(1, c)/(c+1)``.
+    Non-finite input raises ``ValueError``.
     """
     rhs = np.asarray(rhs, dtype=float)
-    ab = _tridiag_workspace(rhs.shape[0], float(c))
-    return solve_banded((1, 1), ab, rhs)
+    if rhs.shape[0] < 3:
+        raise ValueError("open weighting solve needs at least 3 points")
+    _check_finite(rhs)
+    return _gttrs(_tridiag_workspace(rhs.shape[0], float(c), bool(edge_rows)), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +454,13 @@ class DiffStencil:
         """Periodic application of the stencil row."""
         f = np.asarray(f, dtype=float)
         out = np.zeros_like(f)
-        hw = self.half_width
-        for k, coef in enumerate(self.row, start=-hw):
+        o, v = out.swapaxes(0, axis), f.swapaxes(0, axis)
+        n = v.shape[0]
+        ext = _periodic_pad(v, self.half_width)
+        # terms added in row order onto zeros; row i of ext[k:k + n] is f_{i+k-hw}
+        for k, coef in enumerate(self.row):
             if coef != 0.0:
-                out += coef * np.roll(f, -k, axis=axis)
+                o += coef * ext[k:k + n]
         return out
 
 

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import operators as ops
-from .limiters import Bounds, LimiterReport, recover_point_values, tvb_flux
+from .limiters import Bounds, LimiterReport, flux_difference, recover_point_values, tvb_flux
 
 
 class CflError(ValueError):
@@ -220,7 +220,7 @@ class PeriodicScheme1D:
             if self.tvb_p is not None:
                 ubar = self.means(u)
                 fhat = tvb_flux(u, ubar, self.problem, dx, self.tvb_p)
-                return -(fhat - np.roll(fhat, 1)) / dx
+                return -flux_difference(fhat) / dx
             return -self.stencil1.apply(self.problem.flux(u)) / dx
         if self.mode == "diffusion":
             return self.stencil2.apply(self.problem.diffusion(u)) / dx ** 2

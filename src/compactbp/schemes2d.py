@@ -90,11 +90,26 @@ _W10 = ops.WeightOperator(10.0)
 
 
 def _dx_central(f, axis):
-    return 0.5 * (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis))
+    """Periodic ``0.5 (f_{i+1} - f_{i-1})`` along ``axis``."""
+    out = np.empty_like(f)
+    o, v = out.swapaxes(0, axis), f.swapaxes(0, axis)
+    np.subtract(v[2:], v[:-2], out=o[1:-1])
+    np.subtract(v[1], v[-1], out=o[0])
+    np.subtract(v[0], v[-2], out=o[-1])
+    o *= 0.5
+    return out
 
 
 def _dxx_central(f, axis):
-    return np.roll(f, -1, axis=axis) - 2.0 * f + np.roll(f, 1, axis=axis)
+    """Periodic ``(f_{i+1} - 2 f_i) + f_{i-1}`` along ``axis``."""
+    out = np.empty_like(f)
+    o, v = out.swapaxes(0, axis), f.swapaxes(0, axis)
+    twice = 2.0 * v
+    np.subtract(v[1:], twice[:-1], out=o[:-1])
+    np.subtract(v[0], twice[-1], out=o[-1])
+    o[1:] += v[:-1]
+    o[0] += v[-1]
+    return out
 
 
 def max_stable_dt_2d(problem: Problem2D, dx: float, dy: float,

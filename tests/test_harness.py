@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+import io
+from dataclasses import replace
+
 from compactbp.cli import main, parse_config_file
-from compactbp.harness import (RunConfig, error_norms, format_study_table,
-                               observed_order, run_convergence_study, run_single)
+from compactbp.harness import (RunConfig, _meta_lines, _write_single_csv,
+                               error_norms, format_study_table, observed_order,
+                               run_convergence_study, run_level, run_single)
+from compactbp.schemes2d import Problem2D
 
 
 class TestErrorNorms:
@@ -93,6 +98,68 @@ class TestRunSingle:
                           T=0.2, bp_limiter=True, out=str(tmp_path / "b"))
         _, path_b = run_single(cfg_b)
         assert path_a.read_bytes() == path_b.read_bytes()
+
+
+def per_row_csv(config, result) -> bytes:
+    """The solution CSV as formatted one f-string per grid point."""
+    problem, scheme, state = result["problem"], result["scheme"], result["state"]
+    rep = result["report"]
+    extra = {
+        "N": result["n"],
+        "dt": f"{result['dt']:.16e}",
+        "steps": result["steps"],
+        "min_u": f"{result['min_u']:.16e}",
+        "max_u": f"{result['max_u']:.16e}",
+        "conservation_drift": f"{result['conservation']:.16e}",
+        "limiter_modified_total": rep.modified_count,
+        "limiter_max_displacement": f"{rep.max_displacement:.16e}",
+        "limiter_sawtooth_sets": rep.sawtooth_count,
+    }
+    buf = io.StringIO()
+    for line in _meta_lines(config, extra):
+        buf.write(line + "\r\n")
+    exact = result["exact"]
+    if isinstance(problem, Problem2D):
+        xx, yy = scheme.grid()
+        buf.write("x,y,u" + (",u_exact" if exact is not None else "") + "\r\n")
+        for i in range(state.shape[0]):
+            for j in range(state.shape[1]):
+                row = f"{xx[i, j]:.16e},{yy[i, j]:.16e},{state[i, j]:.16e}"
+                if exact is not None:
+                    row += f",{exact[i, j]:.16e}"
+                buf.write(row + "\r\n")
+    else:
+        x = scheme.x
+        buf.write("x,u" + (",u_exact" if exact is not None else "") + "\r\n")
+        for i in range(state.size):
+            row = f"{x[i]:.16e},{state[i]:.16e}"
+            if exact is not None:
+                row += f",{exact[i]:.16e}"
+            buf.write(row + "\r\n")
+    return buf.getvalue().encode("ascii")
+
+
+class TestSolutionCsv:
+    @pytest.mark.parametrize("problem,n", [("linadv-sin4", 24), ("dirichlet-convdiff", 30),
+                                           ("2d-linadv", 10), ("2d-pme-m3", 12)])
+    def test_bytes_match_per_row_writer(self, tmp_path, problem, n):
+        cfg = RunConfig(problem=problem, order=4, integrator="ms4", n=n, T=1e-3,
+                        bp_limiter=True, out=str(tmp_path))
+        result = run_level(cfg, n)
+        rng = np.random.default_rng(n)
+        odd = rng.normal(size=result["state"].shape) * 10.0 ** rng.integers(
+            -300, 300, size=result["state"].shape)
+        flat = odd.reshape(-1)
+        flat[:6] = [0.0, -0.0, 5e-324, -2.2e-308, 1.0, -1e300]
+        # with and without u_exact, solver output and awkward values
+        # (signed zeros, subnormals, extreme exponents, Fortran order)
+        variants = [result, {**result, "exact": None},
+                    {**result, "state": odd, "exact": odd[::-1].copy()},
+                    {**result, "state": np.asfortranarray(odd), "exact": None}]
+        for k, res in enumerate(variants):
+            cfg_k = replace(cfg, out=str(tmp_path / str(k)))
+            path = _write_single_csv(cfg_k, res)
+            assert path.read_bytes() == per_row_csv(cfg_k, res)
 
 
 class TestStudy:

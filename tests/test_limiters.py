@@ -393,3 +393,34 @@ class TestTvbEulerStep:
         dfm_l = modified_minmod([dfm, dplus(fmb, i), dplus(fmb, (i + 1) % 32)], 5.0, dx)
         expected = fpb[i] + dfp_l + fmb[(i + 1) % 32] - dfm_l
         assert fhat[i] == pytest.approx(expected, abs=1e-15)
+
+    def test_flux_matches_roll_form(self):
+        # the slice form gives the bits of the np.roll form, signed zeros included
+        from compactbp.limiters import _minmod_rows
+
+        def roll_tvb_flux(u, ubar, problem, dx, p):
+            speed = problem.max_fprime
+            f_u, f_ub = problem.flux(u), problem.flux(ubar)
+            fp_u, fm_u = 0.5 * (f_u + speed * u), 0.5 * (f_u - speed * u)
+            fp_b, fm_b = 0.5 * (f_ub + speed * ubar), 0.5 * (f_ub - speed * ubar)
+            fhat_p = 0.5 * (fp_u + np.roll(fp_u, -1))
+            fhat_m = 0.5 * (fm_u + np.roll(fm_u, -1))
+            dplus_p = np.roll(fp_b, -1) - fp_b
+            dplus_m = np.roll(fm_b, -1) - fm_b
+            dfp_lim = _minmod_rows(fhat_p - fp_b, dplus_p, np.roll(dplus_p, 1), p, dx)
+            dfm_lim = _minmod_rows(np.roll(fm_b, -1) - fhat_m, dplus_m,
+                                   np.roll(dplus_m, -1), p, dx)
+            return (fp_b + dfp_lim) + (np.roll(fm_b, -1) - dfm_lim)
+
+        rng = np.random.default_rng(13)
+        for n in (3, 8, 100):
+            u = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0, 1, n))
+            ubar = apply_weighting(self.w, u)
+            for p in (0.0, 5.0):
+                fhat = tvb_flux(u, ubar, self.problem, self.dx, p)
+                ref = roll_tvb_flux(u, ubar, self.problem, self.dx, p)
+                assert np.array_equal(fhat.view(np.int64), ref.view(np.int64))
+                q = tvb_euler_step(u, ubar, self.problem, 1 / 12, p,
+                                   self.problem.bounds, self.dx)
+                q_ref = ubar - (1 / 12) * (ref - np.roll(ref, 1))
+                assert np.array_equal(q.view(np.int64), q_ref.view(np.int64))

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from scipy.linalg import solve_banded
+
 from compactbp.operators import (
     CoefficientDomainError, WeightOperator, apply_weighting,
     apply_weighting_chain, compact_derivative, difference_stencil,
     factor_first_weighting, factor_second_weighting,
     first_derivative_coefficients, recovery_chain,
-    second_derivative_coefficients, solve_weighting, weighting_row,
+    second_derivative_coefficients, solve_open_weighting, solve_weighting,
+    weighting_row, _cyclic_workspace, _tridiag_workspace,
 )
 
 
@@ -302,3 +305,177 @@ class TestCompactDerivative:
     def test_dx_validation(self):
         with pytest.raises(ValueError):
             compact_derivative(first_derivative_coefficients(4), np.zeros(8), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# Kernel equivalence: the slice kernels and the cached LAPACK factors give
+# the same bits (signed zeros included) as the np.roll / solve_banded forms
+# ---------------------------------------------------------------------------
+
+def bits_equal(a, b):
+    """Equal values bit for bit, signed zeros included, and equal memory layout."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a.shape == b.shape and a.strides == b.strides
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+def roll_weighting(c, u, axis=0):
+    return (np.roll(u, 1, axis=axis) + c * u + np.roll(u, -1, axis=axis)) / (c + 2.0)
+
+
+def roll_stencil(stencil, f, axis=0):
+    out = np.zeros_like(f)
+    for k, coef in enumerate(stencil.row, start=-stencil.half_width):
+        if coef != 0.0:
+            out += coef * np.roll(f, -k, axis=axis)
+    return out
+
+
+def banded_cyclic_solve(c, rhs, axis=0):
+    """Sherman-Morrison on scipy's banded solve, rebuilt on every call."""
+    moved = np.moveaxis(rhs, axis, 0)
+    n = moved.shape[0]
+    d, off = c / (c + 2.0), 1.0 / (c + 2.0)
+    gamma = -d
+    ab = np.zeros((3, n))
+    ab[0, 1:] = off
+    ab[1] = d
+    ab[1, 0] = d - gamma
+    ab[1, -1] = d - off * off / gamma
+    ab[2, :-1] = off
+    uvec, vvec = np.zeros(n), np.zeros(n)
+    uvec[0], uvec[-1] = gamma, off
+    vvec[0], vvec[-1] = 1.0, off / gamma
+    z = solve_banded((1, 1), ab, uvec)
+    y = solve_banded((1, 1), ab, moved.reshape(n, -1))
+    corr = (vvec @ y) / (1.0 + vvec @ z)
+    x = y - z[:, None] * corr[None, :]
+    return np.moveaxis(x.reshape(moved.shape), 0, axis)
+
+
+def banded_open_solve(c, rhs, edge_rows=False):
+    n = rhs.shape[0]
+    ab = np.zeros((3, n))
+    ab[0, 1:] = ab[2, :-1] = 1.0 / (c + 2.0)
+    ab[1] = c / (c + 2.0)
+    if edge_rows:
+        ab[1, 0] = ab[1, -1] = c / (c + 1.0)
+        ab[0, 1] = ab[2, -2] = 1.0 / (c + 1.0)
+    return solve_banded((1, 1), ab, rhs)
+
+
+def awkward(rng, shape):
+    """Random data of mixed scale with signed zeros and subnormals mixed in."""
+    u = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    flat = u.reshape(-1)
+    flat[::7] = 0.0
+    flat[3::11] = -0.0
+    flat[5::13] = 5e-324
+    return u
+
+
+FACTOR_CS = sorted({c for cs in (first_derivative_coefficients(6), first_derivative_coefficients(8),
+                                 second_derivative_coefficients(6), second_derivative_coefficients(8))
+                    for c in recovery_chain(cs)})
+STENCILS = [difference_stencil(make(order))
+            for make in (first_derivative_coefficients, second_derivative_coefficients)
+            for order in (4, 8)]
+
+
+class TestKernelEquivalence:
+    @pytest.mark.parametrize("c", [2.0, 4.0, 10.0, 12.3])
+    def test_weighting_matches_roll(self, c):
+        rng = np.random.default_rng(21)
+        w = WeightOperator(c)
+        for n in (3, 4, 7, 320):
+            u = awkward(rng, n)
+            assert bits_equal(apply_weighting(w, u), roll_weighting(c, u))
+        U = awkward(rng, (9, 6))
+        for axis in (0, 1):
+            assert bits_equal(apply_weighting(w, U, axis=axis), roll_weighting(c, U, axis))
+            assert bits_equal(apply_weighting(w, U.T, axis=axis), roll_weighting(c, U.T, axis))
+
+    @pytest.mark.parametrize("stencil", STENCILS,
+                             ids=lambda s: f"d{s.derivative_order}-hw{s.half_width}")
+    def test_stencil_matches_roll(self, stencil):
+        assert stencil.half_width in (1, 2)
+        rng = np.random.default_rng(22)
+        for n in (2, 3, 5, 320):
+            f = awkward(rng, n)
+            assert bits_equal(stencil.apply(f), roll_stencil(stencil, f))
+        F = awkward(rng, (8, 11))
+        for axis in (0, 1):
+            assert bits_equal(stencil.apply(F, axis=axis), roll_stencil(stencil, F, axis))
+            assert bits_equal(stencil.apply(F.T, axis=axis), roll_stencil(stencil, F.T, axis))
+
+    def test_stencil_signed_zero_start(self):
+        # the first term is added onto +0, so a -0 product comes out as +0
+        stencil = difference_stencil(first_derivative_coefficients(4))
+        out = stencil.apply(np.array([-0.0, -0.0, -0.0, -0.0]))
+        assert bits_equal(out, np.zeros(4))
+
+    @pytest.mark.parametrize("c", [4.0, 10.0] + FACTOR_CS)
+    @pytest.mark.parametrize("n", [3, 4, 7, 320])
+    def test_cyclic_solve_matches_banded(self, c, n):
+        rng = np.random.default_rng(n)
+        w = WeightOperator(c)
+        for _ in range(20):
+            rhs = awkward(rng, n)
+            assert bits_equal(solve_weighting(w, rhs), banded_cyclic_solve(c, rhs))
+        R = awkward(rng, (n, 5))
+        for axis, arr in ((0, R), (1, R.T), (1, np.ascontiguousarray(R.T))):
+            assert bits_equal(solve_weighting(w, arr, axis=axis),
+                              banded_cyclic_solve(c, arr, axis))
+
+    @pytest.mark.parametrize("c", [4.0, 10.0, 12.3])
+    @pytest.mark.parametrize("edge_rows", [False, True])
+    def test_open_solve_matches_banded(self, c, edge_rows):
+        rng = np.random.default_rng(23)
+        for n in (3, 4, 7, 200):
+            for _ in range(10):
+                rhs = awkward(rng, n)
+                assert bits_equal(solve_open_weighting(c, rhs, edge_rows=edge_rows),
+                                  banded_open_solve(c, rhs, edge_rows))
+
+    def test_open_solve_edge_rows_residual(self):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=12)
+        w = np.empty(12)
+        w[1:-1] = (x[:-2] + 10.0 * x[1:-1] + x[2:]) / 12.0
+        w[0] = (10.0 * x[0] + x[1]) / 11.0
+        w[-1] = (x[-2] + 10.0 * x[-1]) / 11.0
+        assert_allclose(solve_open_weighting(10.0, w, edge_rows=True), x, rtol=0, atol=1e-14)
+
+    def test_open_solve_needs_three_points(self):
+        with pytest.raises(ValueError, match="at least 3"):
+            solve_open_weighting(4.0, np.ones(2))
+
+    def test_cached_workspaces_are_read_only(self):
+        # every caller shares the cached arrays, so none may change them
+        factors, z, vvec, _ = _cyclic_workspace(9, 4.0)
+        for arr in (*factors, z, vvec, *_tridiag_workspace(9, 10.0, True)):
+            assert not arr.flags.writeable
+
+
+class TestSolveNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_cyclic_names_index(self, bad):
+        rhs = np.ones(10)
+        rhs[6] = bad
+        with pytest.raises(ValueError, match=r"non-finite value .* at index 6$"):
+            solve_weighting(WeightOperator(4.0), rhs)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_cyclic_2d_index_in_caller_layout(self, axis):
+        rhs = np.ones((6, 8))
+        rhs[4, 2] = np.nan
+        rhs[5, 1] = np.inf
+        with pytest.raises(ValueError, match=r"at index \(4, 2\)"):
+            solve_weighting(WeightOperator(10.0), rhs, axis=axis)
+
+    @pytest.mark.parametrize("edge_rows", [False, True])
+    def test_open_names_index(self, edge_rows):
+        rhs = np.ones(9)
+        rhs[0] = -np.inf
+        with pytest.raises(ValueError, match="non-finite value -inf at index 0"):
+            solve_open_weighting(10.0, rhs, edge_rows=edge_rows)

@@ -9,6 +9,7 @@ from compactbp.operators import WeightOperator, apply_weighting
 from compactbp.problems import builtin
 from compactbp.schemes1d import CflError, PeriodicScheme1D, Problem1D, StepContext
 from compactbp.schemes2d import (PeriodicScheme2D, Problem2D, StepContext2D,
+                                 _dx_central, _dxx_central,
                                  euler_step_2d_convection,
                                  euler_step_2d_convdiff, max_stable_dt_2d)
 
@@ -179,3 +180,17 @@ class TestStructure:
         cfg_off = RunConfig(problem="2d-pme-m5", order=4, integrator="ms4",
                             T=0.005, bp_limiter=False)
         assert run_level(cfg_off, 24)["min_u"] < 0.0
+
+
+def test_central_differences_match_roll_form():
+    # slice forms give the bits and memory layout of the np.roll forms
+    rng = np.random.default_rng(14)
+    f = rng.normal(size=(9, 7))
+    f[::3, ::2] = -0.0
+    for arr in (f, f.T, np.asfortranarray(f)):
+        for axis in (0, 1):
+            dx_ref = 0.5 * (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis))
+            dxx_ref = np.roll(arr, -1, axis=axis) - 2.0 * arr + np.roll(arr, 1, axis=axis)
+            for out, ref in ((_dx_central(arr, axis), dx_ref), (_dxx_central(arr, axis), dxx_ref)):
+                assert out.strides == ref.strides
+                assert np.array_equal(out.view(np.int64), ref.view(np.int64))
