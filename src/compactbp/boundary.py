@@ -27,7 +27,7 @@ from scipy.linalg import solve_banded  # noqa: F401
 
 from .limiters import Bounds, LimiterReport, limit_bounds_segment
 from .operators import solve_open_weighting
-from .schemes1d import CflError, Problem1D, StepContext
+from .schemes1d import CflError, Problem1D, StepContext, check_grid_size
 
 #: Cubic-extrapolation weights producing the outflow end value from the
 #: last four interior weighted means (exact for cubics; the weights sum
@@ -79,6 +79,8 @@ class InflowOutflowScheme:
             raise ValueError("problem must supply the inflow value L(t)")
         if problem.min_fprime is None or problem.min_fprime < -1e-12:
             raise ValueError("inflow-outflow requires f' >= 0 on the bounds")
+        # the outflow value extrapolates the last four interior means
+        check_grid_size(problem, n, 4)
         self.problem = problem
         self.ctx = ctx
         self.n = n
@@ -126,14 +128,16 @@ class InflowOutflowScheme:
         bounds = self.bounds
         u_left = _check_bc_value(self.problem.left_value(t), bounds, "inflow")
         u_right = outflow_extrapolate(q[-4:], bounds)
-        rhs = np.asarray(q, dtype=float).copy()
+        q = np.asarray(q, dtype=float)
+        rhs = q.copy()
         rhs[0] -= u_left / 6.0
         rhs[-1] -= u_right / 6.0
         interior = solve_open_weighting(4.0, rhs)
         report = LimiterReport()
         if limiting:
+            # with the end values, (u_left + 4 x_0 + x_1)/6 = q_0: q are the means
             interior, report = limit_bounds_segment(
-                interior, bounds, 4.0, left=u_left, right=u_right)
+                interior, bounds, 4.0, left=u_left, right=u_right, means=q)
         return np.concatenate(([u_left], interior, [u_right])), report
 
     def euler_step(self, u: np.ndarray, t: float = 0.0,
@@ -172,6 +176,13 @@ class DirichletOperators:
     corner_weight: float = 10.0 / 11.0
 
 
+def _read_only_row(row: tuple) -> np.ndarray:
+    """``row`` as a float array that cannot be written to."""
+    a = np.array(row, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 def _banded_end_aware(first_row, interior_row, values, mirror_sign):
     """Apply rows [first; interior...; +-mirrored first] to the N+2 vector.
 
@@ -205,6 +216,10 @@ class DirichletConvDiffScheme:
     """
 
     rows = DirichletOperators()
+    # the one-sided end rows as arrays, converted once
+    mean_first = _read_only_row(rows.mean_first)
+    dx_first = _read_only_row(rows.dx_first)
+    dxx_first = _read_only_row(rows.dxx_first)
 
     def __init__(self, problem: Problem1D, ctx: StepContext, *,
                  n: int | None = None, bp_limit: bool = True):
@@ -214,6 +229,8 @@ class DirichletConvDiffScheme:
             raise ValueError("boundary schemes pair with the 4th-order interior")
         if problem.left_value is None or problem.right_value is None:
             raise ValueError("problem must supply both boundary values")
+        # the interior solves and the four-point end rows need three interior points
+        check_grid_size(problem, n, 3)
         self.problem = problem
         self.ctx = ctx
         self.n = n
@@ -253,17 +270,17 @@ class DirichletConvDiffScheme:
             raise CflError(self.ctx.dt, admissible, self.problem.name)
 
     def means(self, u: np.ndarray) -> np.ndarray:
-        return _banded_end_aware(self.rows.mean_first, self.rows.mean_interior,
+        return _banded_end_aware(self.mean_first, self.rows.mean_interior,
                                  u, mirror_sign=1.0)
 
     def rhs_means(self, u: np.ndarray, t: float = 0.0) -> np.ndarray:
         out = 0.0
         if self.problem.has_convection:
-            conv = _banded_end_aware(self.rows.dx_first, self.rows.dx_interior,
+            conv = _banded_end_aware(self.dx_first, self.rows.dx_interior,
                                      self.problem.flux(u), mirror_sign=-1.0)
             out = out + conv / self.ctx.dx
         if self.problem.has_diffusion:
-            diff = _banded_end_aware(self.rows.dxx_first, self.rows.dxx_interior,
+            diff = _banded_end_aware(self.dxx_first, self.rows.dxx_interior,
                                      self.problem.diffusion(u), mirror_sign=1.0)
             out = out + diff / self.ctx.dx ** 2
         return out
@@ -280,17 +297,18 @@ class DirichletConvDiffScheme:
         w[-1] = kappa * w[-1] + (1.0 - kappa) * u_right
         # the c = 10 weighting with (10/11, 1/11) end rows
         v = solve_open_weighting(10.0, w, edge_rows=True)
+        # each solve's right-hand side (before the end data moves into it)
+        # is the set of means the limiter checks
         report = LimiterReport()
         if limiting:
-            v, rep = limit_bounds_segment(v, bounds, 10.0, edge_rows=True)
-            report = report.merge(rep)
+            v, report = limit_bounds_segment(v, bounds, 10.0, edge_rows=True, means=w)
         rhs = v.copy()
         rhs[0] -= u_left / 6.0
         rhs[-1] -= u_right / 6.0
         interior = solve_open_weighting(4.0, rhs)
         if limiting:
             interior, rep = limit_bounds_segment(interior, bounds, 4.0,
-                                                 left=u_left, right=u_right)
+                                                 left=u_left, right=u_right, means=v)
             report = report.merge(rep)
         return np.concatenate(([u_left], interior, [u_right])), report
 

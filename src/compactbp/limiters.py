@@ -224,7 +224,7 @@ def _transfer(U, V, src, lower, lo, hi, tol, ends, shape, axis):
     elif isinstance(ends, str):
         first = last = np.zeros(U.shape[1])
     else:
-        first, last = room(ends[0]), room(ends[1])
+        first, last = (np.full(U.shape[1], room(float(e))) for e in ends)
     heads = np.concatenate((first[None], heads, last[None]))
     h_left, h_right = heads[:-2], heads[2:]
     total = h_left + h_right
@@ -285,15 +285,31 @@ def _rebalance_set(u, v, members, lo, hi, tol):
     v[members] = vv
 
 
-def _limit(u, bounds, c, axis, ends):
+def _weighted_means(U, c, ends):
+    """The c-weighted means of the ``(n, lines)`` array ``U`` (see ``_limit``)."""
+    if ends is None:
+        return apply_weighting(WeightOperator(c), U)
+    if isinstance(ends, str):
+        means = np.empty_like(U)
+        means[1:-1] = (U[:-2] + c * U[1:-1] + U[2:]) / (c + 2.0)
+        means[0] = (c * U[0] + U[1]) / (c + 1.0)
+        means[-1] = (U[-2] + c * U[-1]) / (c + 1.0)
+        return means
+    ext = np.empty((U.shape[0] + 2, U.shape[1]))
+    ext[0], ext[1:-1], ext[-1] = ends[0], U, ends[1]
+    return (ext[:-2] + c * ext[1:-1] + ext[2:]) / (c + 2.0)
+
+
+def _limit(u, bounds, c, axis, ends, means=None):
     """Limit every line of ``u`` along ``axis`` in one pass.
 
     ``ends`` is None on periodic lines, ``"edge"`` on segments whose end
     means are the two-point rows, or the pair of fixed values beyond the
-    two ends of a segment.  Only lines with an overshoot next to an
-    undershoot (or, periodic, no in-range point) are classified and
-    rebalanced set by set, in index order, because sets sharing an end
-    point interact.
+    two ends of a segment.  ``means`` are the c-weighted means of ``u``
+    (same shape) when the caller has them; they are checked instead of
+    being recomputed.  Only lines with an overshoot next to an undershoot
+    (or, periodic, no in-range point) are classified and rebalanced set
+    by set, in index order, because sets sharing an end point interact.
     """
     u = np.asarray(u, dtype=float)
     if c < 2.0:
@@ -308,26 +324,22 @@ def _limit(u, bounds, c, axis, ends):
     if not (math.isfinite(umin) and math.isfinite(umax)):
         i, x = _first(~np.isfinite(U), U, shape, axis)
         raise ValueError(f"non-finite value {x} at index {i}")
-    periodic = ends is None
-    if periodic:
-        means = apply_weighting(WeightOperator(c), U)
-    elif isinstance(ends, str):
-        means = np.empty_like(U)
-        means[1:-1] = (U[:-2] + c * U[1:-1] + U[2:]) / (c + 2.0)
-        means[0] = (c * U[0] + U[1]) / (c + 1.0)
-        means[-1] = (U[-2] + c * U[-1]) / (c + 1.0)
+    if means is None:
+        means = _weighted_means(U, c, ends)
     else:
-        ends = [np.full(U.shape[1], float(e)) for e in ends]
-        ext = np.concatenate((ends[0][None], U, ends[1][None]))
-        means = (ext[:-2] + c * ext[1:-1] + ext[2:]) / (c + 2.0)
-    if not (means.min() >= lo - tol and means.max() <= hi + tol):  # NaN ends fail too
+        means = np.asarray(means, dtype=float)
+        if means.shape != u.shape:
+            raise ValueError(f"means of shape {means.shape} for values of shape {u.shape}")
+        means = means.swapaxes(0, axis).reshape(shape[0], -1)
+    if not (means.min() >= lo - tol and means.max() <= hi + tol):  # NaN fails too
         i, x = _first(~((means >= lo - tol) & (means <= hi + tol)), means, shape, axis)
         raise WeakMonotonicityError(i, x, lo, hi)
-    report = LimiterReport()
     # copies keep the caller's memory order, so sums over the result add
     # in the same order as over an array limited in place
     if lo <= umin and umax <= hi:
-        return u.copy(order="K"), report
+        return u.copy(order="K"), LimiterReport()
+    report = LimiterReport()
+    periodic = ends is None
     over = U > hi
     under = U < lo
 
@@ -388,8 +400,8 @@ def limit_lower(u: np.ndarray, lower: float, c: float,
     return _limit(u, Bounds(lower, np.inf, tol), c, 0, None)
 
 
-def limit_bounds(u: np.ndarray, bounds: Bounds, c: float,
-                 axis: int = 0) -> tuple[np.ndarray, LimiterReport]:
+def limit_bounds(u: np.ndarray, bounds: Bounds, c: float, axis: int = 0,
+                 means: np.ndarray | None = None) -> tuple[np.ndarray, LimiterReport]:
     """Enforce ``v_i in [lower, upper]`` on periodic data, conservatively.
 
     Requires the c-weighted means of ``u`` to lie in the interval (up to
@@ -399,14 +411,17 @@ def limit_bounds(u: np.ndarray, bounds: Bounds, c: float,
     every admissible configuration (including the whole-circle case with
     no in-range point at all).  ``u`` may have any number of dimensions:
     every line along ``axis`` is a separate periodic line, and the report
-    covers them all.  Non-finite input raises ``ValueError``.
+    covers them all.  A caller that already holds the means (``u`` solved
+    from them) passes them as ``means``, of ``u``'s shape; they are
+    checked instead of recomputed.  Non-finite input raises ``ValueError``.
     """
-    return _limit(u, bounds, c, axis, None)
+    return _limit(u, bounds, c, axis, None, means)
 
 
 def limit_bounds_segment(u: np.ndarray, bounds: Bounds, c: float, *,
                          left: float | None = None, right: float | None = None,
-                         edge_rows: bool = False) -> tuple[np.ndarray, LimiterReport]:
+                         edge_rows: bool = False,
+                         means: np.ndarray | None = None) -> tuple[np.ndarray, LimiterReport]:
     """Bound enforcement on a finite segment (on each column of n-d input).
 
     Two end treatments are supported:
@@ -418,12 +433,18 @@ def limit_bounds_segment(u: np.ndarray, bounds: Bounds, c: float, *,
     * ``edge_rows=True`` states that the end means are the two-point rows
       ``(c u_1 + u_2)/(c+1)``; redistribution then stays entirely inside
       the segment and the sum is preserved exactly.
+
+    ``means``, of ``u``'s shape, are the segment's means under the chosen
+    end treatment when the caller already holds them, as in
+    ``limit_bounds``.
     """
     if edge_rows:
-        return _limit(u, bounds, c, 0, "edge")
+        return _limit(u, bounds, c, 0, "edge", means)
     if left is None or right is None:
         raise ValueError("need fixed boundary values or edge_rows=True")
-    return _limit(u, bounds, c, 0, (left, right))
+    if not (math.isfinite(left) and math.isfinite(right)):
+        raise ValueError(f"non-finite end value in {(left, right)}")
+    return _limit(u, bounds, c, 0, (left, right), means)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +452,7 @@ def limit_bounds_segment(u: np.ndarray, bounds: Bounds, c: float, *,
 # ---------------------------------------------------------------------------
 
 def _as_chain(chain) -> tuple[float, ...]:
+    """The c-values of a weighting chain, outermost first."""
     cs = []
     for entry in chain:
         if isinstance(entry, (tuple, list)):
@@ -451,19 +473,20 @@ def recover_point_values(means: np.ndarray, chain, bounds: Bounds | None,
 
     ``means`` are the fully weighted means (product of all chain levels
     applied to the unknown point values); the chain lists the c-values
-    outermost first.  After each tridiagonal solve the intermediate values
-    have their next-level weighted means inside the bounds, so the
-    three-point limiter applies at exactly that c.
+    outermost first.  Each solve's right-hand side is the set of
+    next-level weighted means of its solution, inside the bounds, so the
+    three-point limiter applies at exactly that c and checks those means.
     """
-    cs = _as_chain(chain)
     x = np.asarray(means, dtype=float)
-    report = LimiterReport()
-    for c in cs:
-        x = solve_weighting(WeightOperator(c), x)
+    report = None
+    for c in chain:
+        weighting = WeightOperator(c)
+        rhs = x
+        x = solve_weighting(weighting, rhs)
         if limiting and bounds is not None:
-            x, rep = limit_bounds(x, bounds, c)
-            report = report.merge(rep)
-    return x, report
+            x, rep = limit_bounds(x, bounds, weighting.c, means=rhs)
+            report = rep if report is None else report.merge(rep)
+    return x, LimiterReport() if report is None else report
 
 
 def cascade_limit(u: np.ndarray, bounds: Bounds, chain) -> tuple[np.ndarray, LimiterReport]:

@@ -32,6 +32,17 @@ class CflError(ValueError):
             f"{admissible:.6g}{(' for ' + what) if what else ''}")
 
 
+def check_grid_size(problem, n: int | None, minimum: int, what: str = "N") -> None:
+    """Reject a grid smaller than the smallest one a scheme can step.
+
+    ``n`` is None for schemes built without a grid size, which are not
+    checked here; their first step checks the operand sizes.
+    """
+    if n is not None and n < minimum:
+        raise ValueError(f"{problem.name} needs {what} >= {minimum} grid points, "
+                         f"got {what} = {n}")
+
+
 def _zero_flux(u):
     return np.zeros_like(u)
 
@@ -168,6 +179,8 @@ class PeriodicScheme1D:
                 raise ValueError("the TVB flux limiter is defined for pure convection")
             if ctx.accuracy_order != 4:
                 raise ValueError("the TVB flux limiter pairs with the 4th-order flux")
+        # the periodic weighting solve needs three points
+        check_grid_size(problem, n, 3)
         self.problem = problem
         self.ctx = ctx
         self.n = n

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import operators as ops
 from .limiters import Bounds, LimiterReport, limit_bounds
-from .schemes1d import CflError
+from .schemes1d import CflError, check_grid_size
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,9 @@ class PeriodicScheme2D:
                  bp_limit: bool = True, sweep_order: str = "xy"):
         if sweep_order not in ("xy", "yx"):
             raise ValueError("sweep_order must be 'xy' or 'yx'")
+        # the periodic weighting solves need three points along each axis
+        check_grid_size(problem, nx, 3, "nx")
+        check_grid_size(problem, ny, 3, "ny")
         self.problem = problem
         self.ctx = ctx
         self.nx = nx
@@ -246,14 +249,16 @@ class PeriodicScheme2D:
     def recover(self, q: np.ndarray, t: float = 0.0,
                 limiting: bool | None = None) -> tuple[np.ndarray, LimiterReport]:
         limiting = self.bp_limit if limiting is None else limiting
-        report = LimiterReport()
+        report = None
         v = np.asarray(q, dtype=float)
         for c, axis in self.levels:
-            v = ops.solve_weighting(ops.WeightOperator(c), v, axis=axis)
+            rhs = v
+            v = ops.solve_weighting(ops.WeightOperator(c), rhs, axis=axis)
             if limiting:
-                v, rep = limit_bounds(v, self.bounds, c, axis=axis)
-                report = report.merge(rep)
-        return v, report
+                # the solve's right-hand side holds the means the limiter checks
+                v, rep = limit_bounds(v, self.bounds, c, axis=axis, means=rhs)
+                report = rep if report is None else report.merge(rep)
+        return v, LimiterReport() if report is None else report
 
     def euler_step(self, u: np.ndarray, t: float = 0.0,
                    limiting: bool | None = None):

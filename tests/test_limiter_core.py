@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import limiter_oracle as oracle
-from compactbp.limiters import Bounds, limit_bounds, limit_bounds_segment, limit_lower
+from compactbp.limiters import (Bounds, WeakMonotonicityError, limit_bounds,
+                                limit_bounds_segment, limit_lower)
 from compactbp.operators import WeightOperator, apply_weighting, solve_weighting
 from compactbp.problems import builtin
 from compactbp.schemes2d import PeriodicScheme2D, Problem2D, StepContext2D
@@ -22,9 +23,14 @@ from compactbp.schemes2d import PeriodicScheme2D, Problem2D, StepContext2D
 UNIT = Bounds(0.0, 1.0)
 
 
-def admissible(rng, shape, bounds, c, axis=0):
+def admissible_with_means(rng, shape, bounds, c, axis=0):
+    """Admissible point values and the means they were solved from."""
     means = rng.uniform(bounds.lower, bounds.upper, shape)
-    return solve_weighting(WeightOperator(c), means, axis=axis)
+    return solve_weighting(WeightOperator(c), means, axis=axis), means
+
+
+def admissible(rng, shape, bounds, c, axis=0):
+    return admissible_with_means(rng, shape, bounds, c, axis)[0]
 
 
 def same_bits(a, b):
@@ -37,25 +43,37 @@ def out_of_range(u, bounds):
     return (u < bounds.lower) | (u > bounds.upper)
 
 
-def edge_row_field(rng, n, c):
-    """Point values whose two-point end rows and interior means are in [0, 1]."""
+def edge_row_field_with_means(rng, n, c):
+    """Point values whose two-point end rows and interior means are in [0, 1],
+    and those means."""
     A = np.zeros((n, n))
     for i in range(1, n - 1):
         A[i, i - 1:i + 2] = np.array([1, c, 1]) / (c + 2)
     A[0, :2] = [c / (c + 1), 1 / (c + 1)]
     A[-1, -2:] = [1 / (c + 1), c / (c + 1)]
-    return np.linalg.solve(A, rng.uniform(0, 1, n))
+    means = rng.uniform(0, 1, n)
+    return np.linalg.solve(A, means), means
 
 
-def fixed_end_field(rng, n, c, ends=None):
-    """Point values whose means, completed by two fixed end values, are in [0, 1]."""
+def edge_row_field(rng, n, c):
+    return edge_row_field_with_means(rng, n, c)[0]
+
+
+def fixed_end_field_with_means(rng, n, c, ends=None):
+    """Point values whose means, completed by two fixed end values, are in
+    [0, 1], the end values, and those means."""
     left, right = rng.uniform(0, 1, 2) if ends is None else ends
-    rhs = rng.uniform(0, 1, n)
+    means = rng.uniform(0, 1, n)
+    rhs = means.copy()
     rhs[0] -= left / (c + 2)
     rhs[-1] -= right / (c + 2)
     A = (np.diag(np.full(n, c)) + np.diag(np.ones(n - 1), 1)
          + np.diag(np.ones(n - 1), -1)) / (c + 2)
-    return np.linalg.solve(A, rhs), left, right
+    return np.linalg.solve(A, rhs), left, right, means
+
+
+def fixed_end_field(rng, n, c, ends=None):
+    return fixed_end_field_with_means(rng, n, c, ends)[:3]
 
 
 class TestMatchesOracle:
@@ -227,6 +245,117 @@ class TestReports2D:
         assert rep.whole_circle_fallback == want.whole_circle_fallback
         assert rep.conservation_residual == pytest.approx(want.conservation_residual,
                                                           abs=1e-14)
+
+
+class TestGivenMeans:
+    """``means=`` (the solve's right-hand side) changes no output bit.
+
+    The cases and seeds are those of ``TestMatchesOracle``.
+    """
+
+    def test_periodic_lines(self):
+        rng = np.random.default_rng(11)
+        for n, c, bounds in TestMatchesOracle.CASES:
+            for _ in range(300):
+                u, means = admissible_with_means(rng, n, bounds, c)
+                want, want_rep = limit_bounds(u, bounds, c)
+                got, rep = limit_bounds(u, bounds, c, means=means)
+                assert same_bits(got, want)
+                assert rep == want_rep
+
+    def test_lattice(self):
+        lattice = np.array([-0.25, 0.0, 0.5, 1.0, 1.25])
+        w = WeightOperator(4.0)
+        for combo in itertools.product(range(5), repeat=5):
+            u = lattice[list(combo)]
+            means = apply_weighting(w, u)
+            if means.min() < 0.0 or means.max() > 1.0:
+                continue
+            want, want_rep = limit_bounds(u, UNIT, 4.0)
+            got, rep = limit_bounds(u, UNIT, 4.0, means=means)
+            assert same_bits(got, want)
+            assert rep == want_rep
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_batched_columns(self, axis):
+        rng = np.random.default_rng(12 + axis)
+        for c in (2.5, 4.0, 10.0):
+            for _ in range(40):
+                shape = tuple(int(k) for k in rng.integers(3, 24, 2))
+                u, means = admissible_with_means(rng, shape, UNIT, c, axis=axis)
+                want, want_rep = limit_bounds(u, UNIT, c, axis=axis)
+                got, rep = limit_bounds(u, UNIT, c, axis=axis, means=means)
+                assert same_bits(got, want)
+                assert got.flags.f_contiguous == want.flags.f_contiguous
+                assert rep == want_rep
+
+    def test_edge_row_segments(self):
+        rng = np.random.default_rng(14)
+        for c in (4.0, 10.0):
+            for _ in range(300):
+                u, means = edge_row_field_with_means(rng, int(rng.integers(2, 12)), c)
+                want, want_rep = limit_bounds_segment(u, UNIT, c, edge_rows=True)
+                got, rep = limit_bounds_segment(u, UNIT, c, edge_rows=True, means=means)
+                assert same_bits(got, want)
+                assert rep == want_rep
+
+    def test_fixed_end_segments(self):
+        rng = np.random.default_rng(15)
+        for c in (4.0, 10.0):
+            for _ in range(300):
+                u, left, right, means = fixed_end_field_with_means(
+                    rng, int(rng.integers(1, 12)), c)
+                want, want_rep = limit_bounds_segment(u, UNIT, c, left=left, right=right)
+                got, rep = limit_bounds_segment(u, UNIT, c, left=left, right=right,
+                                                means=means)
+                assert same_bits(got, want)
+                assert rep == want_rep
+
+
+class TestBadMeans:
+    @pytest.mark.parametrize("bad", [1.0 + 1e-9, -1e-9, np.nan, np.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_out_of_range_names_caller_index(self, bad, axis):
+        u = np.full((6, 7), 0.5)
+        means = u.copy()
+        means[2, 5] = bad
+        with pytest.raises(WeakMonotonicityError) as err:
+            limit_bounds(u, UNIT, 4.0, axis=axis, means=means)
+        assert err.value.index == (2, 5)
+
+    @pytest.mark.parametrize("bad", [1.0 + 1e-9, -1e-9, np.nan])
+    def test_out_of_range_segment(self, bad):
+        u = np.full(9, 0.5)
+        means = u.copy()
+        means[3] = bad
+        for kwargs in (dict(edge_rows=True), dict(left=0.5, right=0.5)):
+            with pytest.raises(WeakMonotonicityError) as err:
+                limit_bounds_segment(u, UNIT, 4.0, means=means, **kwargs)
+            assert err.value.index == 3
+
+    def test_wrong_shape(self):
+        u = np.full((6, 7), 0.5)
+        for means in (u.T, u[:-1], u.ravel()):
+            with pytest.raises(ValueError, match="shape"):
+                limit_bounds(u, UNIT, 4.0, means=means)
+        line = np.full(9, 0.5)
+        with pytest.raises(ValueError, match="shape"):
+            limit_bounds_segment(line, UNIT, 4.0, edge_rows=True, means=line[1:])
+        with pytest.raises(ValueError, match="shape"):
+            limit_bounds_segment(line, UNIT, 4.0, left=0.5, right=0.5,
+                                 means=line[:, None])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("given", [True, False])
+    def test_non_finite_end_value(self, bad, given):
+        # given means cannot show a bad end value, so it is checked itself,
+        # with the same error whether or not the means are given
+        line = np.full(5, 0.5)
+        means = line if given else None
+        with pytest.raises(ValueError, match="non-finite end value"):
+            limit_bounds_segment(line, UNIT, 4.0, left=0.5, right=bad, means=means)
+        with pytest.raises(ValueError, match="non-finite end value"):
+            limit_bounds_segment(line, UNIT, 4.0, left=bad, right=0.5, means=means)
 
 
 class TestNonFinite:

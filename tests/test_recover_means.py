@@ -1,0 +1,127 @@
+"""Recovery checks the right-hand side of each solve as the limiter's means.
+
+Each level of a recovery solves ``W x = rhs``; the right-hand side is the
+set of weighted means of ``x`` that weak monotonicity keeps inside the
+bounds, so ``recover`` hands it to the limiter instead of re-weighting
+``x``.  A mean pushed out of the bounds must still fail, naming its index,
+and a multistep step must not weight anything twice.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from compactbp import operators
+from compactbp.boundary import DirichletConvDiffScheme, InflowOutflowScheme
+from compactbp.harness import RunConfig, build_scheme
+from compactbp.limiters import WeakMonotonicityError
+from compactbp.problems import builtin
+from compactbp.schemes1d import PeriodicScheme1D, StepContext
+from compactbp.schemes2d import PeriodicScheme2D, StepContext2D
+from compactbp.timeint import MS4_STEPS, IntegratorSpec, SspIntegrator
+
+PUSH = 1e-9  # far beyond the bounds' default slack of 1e-12
+
+
+def _pushed(q, index, bounds, side):
+    q = np.array(q, dtype=float)
+    q[index] = bounds.upper + PUSH if side == "upper" else bounds.lower - PUSH
+    return q
+
+
+def _check(scheme, q, index, side, t=0.0):
+    bad = _pushed(q, index, scheme.bounds, side)
+    with pytest.raises(WeakMonotonicityError) as err:
+        scheme.recover(bad, t, True)
+    assert err.value.index == index
+    assert err.value.value == bad[index]
+    scheme.recover(bad, t, False)  # unlimited recovery checks nothing
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+@pytest.mark.parametrize("order", [4, 8])
+def test_periodic_1d(order, side):
+    prob = builtin("linadv-sin4")
+    n = 32
+    dx = prob.length / n
+    scheme = PeriodicScheme1D(prob, StepContext.create(dx, 0.1 * dx, order), n=n)
+    _check(scheme, scheme.means(scheme.initial_state()[0]), 11, side)
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+@pytest.mark.parametrize("sweep_order", ["xy", "yx"])
+@pytest.mark.parametrize("problem", ["2d-linadv", "2d-pme-m3"])
+def test_periodic_2d(problem, sweep_order, side):
+    prob = builtin(problem)
+    nx, ny = 12, 10
+    dx, dy = (prob.x_hi - prob.x_lo) / nx, (prob.y_hi - prob.y_lo) / ny
+    scheme = PeriodicScheme2D(prob, StepContext2D(dx, dy, 1e-5), nx=nx, ny=ny,
+                              sweep_order=sweep_order)
+    _check(scheme, scheme.means(scheme.initial_state()[0]), (7, 3), side)
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+@pytest.mark.parametrize("index", [0, 9, 23])
+def test_inflow_outflow(index, side):
+    # the end means include the fixed end values: q, not the solve's
+    # boundary-adjusted right-hand side, are the limiter's means
+    prob = builtin("inflow-burgers")
+    n = 24
+    dx = prob.length / (n + 1)
+    scheme = InflowOutflowScheme(prob, StepContext.create(dx, 0.1 * dx, 4), n=n)
+    _check(scheme, scheme.means(scheme.initial_state()[0]), index, side)
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+@pytest.mark.parametrize("index", [1, 9, 22])
+def test_dirichlet(index, side):
+    # interior means enter the c = 10 level unchanged (only the two end
+    # rows mix in the boundary values)
+    prob = builtin("dirichlet-convdiff")
+    n = 24
+    dx = prob.length / (n + 1)
+    scheme = DirichletConvDiffScheme(prob, StepContext.create(dx, 0.01 * dx * dx, 4), n=n)
+    _check(scheme, scheme.means(scheme.initial_state()[0]), index, side)
+
+
+# ---------------------------------------------------------------------------
+# Weightings and solves per multistep step
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, names):
+    """Count calls of ``operators`` functions in every namespace that binds them."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for k, m in sys.modules.items()
+               if m is not None and (k == "compactbp" or k.startswith("compactbp."))]
+    for name in names:
+        fn = getattr(operators, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    return counts
+
+
+@pytest.mark.parametrize("kwargs, applies, solves", [
+    # means(u): one weighting per chain level (2), none in the limiter
+    (dict(problem="linadv-sin4-half", order=8), 2, 2),
+    # means(u) and the TVB flux's means: one weighting each
+    (dict(problem="linadv-step", order=4, tvb=5.0), 2, 1),
+])
+def test_weightings_per_multistep_step(monkeypatch, kwargs, applies, solves):
+    config = RunConfig(n=40, T=0.5, bp_limiter=True, integrator="ms4", **kwargs)
+    _, scheme, dt = build_scheme(config, config.n)
+    integ = SspIntegrator(scheme, IntegratorSpec("ms4"), dt).start(scheme.initial_state()[0])
+    for _ in range(MS4_STEPS - 1):  # Runge-Kutta steps fill the history window
+        integ.advance()
+    counts = _count_calls(monkeypatch, ["apply_weighting", "solve_weighting"])
+    steps = 3
+    for _ in range(steps):
+        integ.advance()
+    assert counts == {"apply_weighting": applies * steps, "solve_weighting": solves * steps}
