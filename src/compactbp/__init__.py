@@ -10,26 +10,22 @@ losing accuracy or the global sum.
 from .limiters import (Bounds, LimiterReport, RedistributionError,
                        SetClassification, WeakMonotonicityError, cascade_limit,
                        classify_sets, limit_bounds, limit_bounds_segment,
-                       limit_lower, modified_minmod, tvb_euler_step)
+                       limit_lower, tvb_euler_step)
 from .operators import (CoefficientDomainError, CoefficientSet, DiffStencil,
                         WeightFactorization, WeightOperator, apply_weighting,
                         compact_derivative, difference_stencil,
                         factor_first_weighting, factor_second_weighting,
                         first_derivative_coefficients, recovery_chain,
                         second_derivative_coefficients, solve_weighting)
-from .schemes1d import (CflError, PeriodicScheme1D, Problem1D, StepContext,
-                        euler_step_convection, euler_step_convdiff,
-                        max_stable_dt, periodic_grid)
-from .schemes2d import (PeriodicScheme2D, Problem2D, StepContext2D,
-                        euler_step_2d_convection, euler_step_2d_convdiff,
-                        max_stable_dt_2d)
+from .schemes1d import (CflError, PeriodicScheme1D, Problem1D, Scheme,
+                        StepContext, max_stable_dt, periodic_grid)
+from .schemes2d import PeriodicScheme2D, Problem2D, StepContext2D, max_stable_dt_2d
 from .boundary import (DirichletConvDiffScheme, InflowOutflowScheme,
-                       dirichlet_convdiff_step, inflow_outflow_step,
                        outflow_extrapolate)
 from .problems import BUILTIN_IDS, barenblatt, builtin
-from .timeint import (IntegratorSpec, OdeScheme, SSP_COEFF_MS4, SSP_COEFF_RK4,
-                      SspIntegrator, advance, integrate_to)
-from .harness import (ErrorRow, RunConfig, error_norms, run_convergence_study,
-                      run_single)
+from .timeint import (METHODS, IntegratorSpec, OdeScheme, SSP_COEFF_MS4,
+                      SSP_COEFF_RK4, SspIntegrator, integrate_to)
+from .harness import (ConfigError, ErrorRow, RunConfig, error_norms,
+                      run_convergence_study, run_single)
 
 __version__ = "0.1.0"

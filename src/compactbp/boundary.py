@@ -27,7 +27,7 @@ from scipy.linalg import solve_banded  # noqa: F401
 
 from .limiters import Bounds, LimiterReport, limit_bounds_segment
 from .operators import solve_open_weighting
-from .schemes1d import CflError, Problem1D, StepContext, check_grid_size
+from .schemes1d import Problem1D, Scheme, StepContext, check_grid_size
 
 #: Cubic-extrapolation weights producing the outflow end value from the
 #: last four interior weighted means (exact for cubics; the weights sum
@@ -53,13 +53,14 @@ def outflow_extrapolate(means_tail, bounds: Bounds) -> float:
 
 
 def _check_bc_value(value, bounds, what):
-    if value < bounds.lower - bounds.tol or value > bounds.upper + bounds.tol:
+    # written as "not inside" so that NaN fails too
+    if not bounds.lower - bounds.tol <= value <= bounds.upper + bounds.tol:
         raise ValueError(f"{what} value {value} outside bounds "
                          f"[{bounds.lower}, {bounds.upper}]")
     return min(max(float(value), bounds.lower), bounds.upper)
 
 
-class InflowOutflowScheme:
+class InflowOutflowScheme(Scheme):
     """4th-order convection scheme with inflow at the left, outflow right.
 
     Requires ``f' >= 0`` on the invariant interval so the left boundary
@@ -81,38 +82,15 @@ class InflowOutflowScheme:
             raise ValueError("inflow-outflow requires f' >= 0 on the bounds")
         # the outflow value extrapolates the last four interior means
         check_grid_size(problem, n, 4)
-        self.problem = problem
-        self.ctx = ctx
-        self.n = n
-        self.bp_limit = bp_limit
+        super().__init__(problem, ctx, n, bp_limit)
 
-    @property
-    def bounds(self) -> Bounds:
-        return self.problem.bounds
-
-    @property
-    def x(self) -> np.ndarray:
-        if self.n is None:
-            raise ValueError("scheme was built without a grid size")
-        return self.problem.x_lo + self.ctx.dx * np.arange(self.n + 2)
-
-    def initial_state(self):
-        return np.asarray(self.problem.initial(self.x), dtype=float), 0.0
-
-    def exact_state(self, t):
-        if self.problem.exact is None:
-            return None
-        return np.asarray(self.problem.exact(self.x, t), dtype=float)
+    def _coordinates(self, n):
+        return (self.problem.x_lo + self.ctx.dx * np.arange(n + 2),)
 
     def admissible_dt_fe(self) -> float:
         if self.problem.max_fprime == 0.0:
             return np.inf
         return self.ctx.dx / (3.0 * self.problem.max_fprime)
-
-    def validate_cfl(self, ssp_coefficient: float = 1.0):
-        admissible = ssp_coefficient * self.admissible_dt_fe()
-        if self.ctx.dt > admissible * (1.0 + 1e-9):
-            raise CflError(self.ctx.dt, admissible, self.problem.name)
 
     def means(self, u: np.ndarray) -> np.ndarray:
         return (u[:-2] + 4.0 * u[1:-1] + u[2:]) / 6.0
@@ -139,20 +117,6 @@ class InflowOutflowScheme:
             interior, report = limit_bounds_segment(
                 interior, bounds, 4.0, left=u_left, right=u_right, means=q)
         return np.concatenate(([u_left], interior, [u_right])), report
-
-    def euler_step(self, u: np.ndarray, t: float = 0.0,
-                   limiting: bool | None = None):
-        self.validate_cfl()
-        q = self.means(u) + self.ctx.dt * self.rhs_means(u, t)
-        u_new, report = self.recover(q, t + self.ctx.dt, limiting)
-        return u_new, q, report
-
-
-def inflow_outflow_step(u: np.ndarray, ctx: StepContext, problem: Problem1D,
-                        t: float = 0.0, *, bp_limit: bool = True):
-    """One forward-Euler inflow-outflow step; returns (u_new, means, report)."""
-    scheme = InflowOutflowScheme(problem, ctx, bp_limit=bp_limit)
-    return scheme.euler_step(u, t)
 
 
 @dataclass(frozen=True)
@@ -203,7 +167,7 @@ def _banded_end_aware(first_row, interior_row, values, mirror_sign):
     return out
 
 
-class DirichletConvDiffScheme:
+class DirichletConvDiffScheme(Scheme):
     """Third-order boundary closure of the 4th-order interior scheme.
 
     The interior mean update uses five-point rows; the two end rows use
@@ -231,28 +195,10 @@ class DirichletConvDiffScheme:
             raise ValueError("problem must supply both boundary values")
         # the interior solves and the four-point end rows need three interior points
         check_grid_size(problem, n, 3)
-        self.problem = problem
-        self.ctx = ctx
-        self.n = n
-        self.bp_limit = bp_limit
+        super().__init__(problem, ctx, n, bp_limit)
 
-    @property
-    def bounds(self) -> Bounds:
-        return self.problem.bounds
-
-    @property
-    def x(self) -> np.ndarray:
-        if self.n is None:
-            raise ValueError("scheme was built without a grid size")
-        return self.problem.x_lo + self.ctx.dx * np.arange(self.n + 2)
-
-    def initial_state(self):
-        return np.asarray(self.problem.initial(self.x), dtype=float), 0.0
-
-    def exact_state(self, t):
-        if self.problem.exact is None:
-            return None
-        return np.asarray(self.problem.exact(self.x, t), dtype=float)
+    def _coordinates(self, n):
+        return (self.problem.x_lo + self.ctx.dx * np.arange(n + 2),)
 
     def admissible_dt_fe(self) -> float:
         limits = []
@@ -263,11 +209,6 @@ class DirichletConvDiffScheme:
             limits.append(DIRICHLET_DIFFUSION_CFL * self.ctx.dx ** 2
                           / self.problem.max_aprime)
         return min(limits) if limits else np.inf
-
-    def validate_cfl(self, ssp_coefficient: float = 1.0):
-        admissible = ssp_coefficient * self.admissible_dt_fe()
-        if self.ctx.dt > admissible * (1.0 + 1e-9):
-            raise CflError(self.ctx.dt, admissible, self.problem.name)
 
     def means(self, u: np.ndarray) -> np.ndarray:
         return _banded_end_aware(self.mean_first, self.rows.mean_interior,
@@ -311,17 +252,3 @@ class DirichletConvDiffScheme:
                                                  left=u_left, right=u_right, means=v)
             report = report.merge(rep)
         return np.concatenate(([u_left], interior, [u_right])), report
-
-    def euler_step(self, u: np.ndarray, t: float = 0.0,
-                   limiting: bool | None = None):
-        self.validate_cfl()
-        q = self.means(u) + self.ctx.dt * self.rhs_means(u, t)
-        u_new, report = self.recover(q, t + self.ctx.dt, limiting)
-        return u_new, q, report
-
-
-def dirichlet_convdiff_step(u: np.ndarray, ctx: StepContext, problem: Problem1D,
-                            t: float = 0.0, *, bp_limit: bool = True):
-    """One forward-Euler Dirichlet step; returns (u_new, means, report)."""
-    scheme = DirichletConvDiffScheme(problem, ctx, bp_limit=bp_limit)
-    return scheme.euler_step(u, t)

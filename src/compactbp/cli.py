@@ -16,7 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import RunConfig, format_study_table, run_convergence_study, run_single
+from .harness import (ConfigError, RunConfig, format_study_table,
+                      run_convergence_study, run_single)
 from .problems import BUILTIN_IDS
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -96,6 +97,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             merged[key] = value
     if "problem" not in merged or merged.get("problem") is None:
         raise SystemExit("error: --problem is required (flag or config file)")
+    if merged["problem"] not in BUILTIN_IDS:
+        raise ValueError(f"unknown problem {merged['problem']!r}")
     return RunConfig(**merged)
 
 
@@ -116,10 +119,18 @@ def main(argv=None) -> int:
                          help="comma-separated increasing grid sizes")
 
     args = parser.parse_args(argv)
-    config = build_config(args)
+    # invalid input is reported in one line; errors raised while stepping
+    # keep their traceback
+    try:
+        config = build_config(args)
+    except ValueError as exc:
+        return _input_error(exc)
 
     if args.command == "solve":
-        result, csv_path = run_single(config)
+        try:
+            result, csv_path = run_single(config)
+        except ConfigError as exc:
+            return _input_error(exc)
         rep = result["report"]
         print(f"problem={config.problem} N={result['n']} steps={result['steps']} "
               f"dt={result['dt']:.6e}")
@@ -136,11 +147,21 @@ def main(argv=None) -> int:
 
     if not config.refine:
         raise SystemExit("error: study needs --refine n1,n2,...")
-    rows, csv_path = run_convergence_study(config)
+    try:
+        rows, csv_path = run_convergence_study(config)
+    except RuntimeError as exc:
+        if not isinstance(exc.__cause__, ConfigError):
+            raise
+        return _input_error(f"{exc}: {exc.__cause__}")
     print(format_study_table(rows))
     if csv_path:
         print(f"wrote {csv_path}")
     return 0
+
+
+def _input_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,6 +11,7 @@ final time, so runs are reproducible and hit T exactly.
 from __future__ import annotations
 
 import io
+import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -21,10 +22,12 @@ from .boundary import DirichletConvDiffScheme, InflowOutflowScheme
 from .limiters import LimiterReport
 from .problems import builtin
 from .schemes1d import PeriodicScheme1D, StepContext, max_stable_dt
-from .schemes2d import PeriodicScheme2D, Problem2D, StepContext2D, max_stable_dt_2d
-from .timeint import SSP_COEFF_MS4, IntegratorSpec, integrate_to
+from .schemes2d import PeriodicScheme2D, Problem2D, StepContext2D
+from .timeint import IntegratorSpec, integrate_to, step_count
 
-SCHEDULE_FACTOR = {"fe": 1.0, "ms4": SSP_COEFF_MS4, "rk4": 5.0 * SSP_COEFF_MS4}
+
+class ConfigError(ValueError):
+    """A run configuration that cannot be built into a scheme."""
 
 
 @dataclass(frozen=True)
@@ -48,21 +51,26 @@ class RunConfig:
     def __post_init__(self):
         if self.order not in (4, 6, 8):
             raise ValueError("order must be 4, 6 or 8")
-        if self.integrator not in SCHEDULE_FACTOR:
-            raise ValueError(f"unknown integrator {self.integrator!r}")
+        IntegratorSpec(self.integrator)  # rejects an unknown method
         if self.dt_scale not in ("cfl", "dx2"):
             raise ValueError("dt_scale must be 'cfl' or 'dx2'")
         if self.refine is not None:
             if list(self.refine) != sorted(set(self.refine)):
                 raise ValueError("refinement list must be strictly increasing")
+        if self.dt_cap is not None and not self.dt_cap > 0:
+            raise ValueError(f"dt_cap must be positive, got {self.dt_cap}")
         prob = builtin(self.problem)
+        periodic_1d = not isinstance(prob, Problem2D) and prob.boundary == "periodic"
+        if self.dt_scale == "dx2" and not (periodic_1d and prob.has_convection):
+            raise ValueError("dt_scale 'dx2' scales the convection step of "
+                             "periodic 1D problems only")
         if self.tvb is not None:
             if prob.has_diffusion:
                 raise ValueError("the TVB limiter requires a convection-only problem")
             if self.order != 4:
                 raise ValueError("the TVB limiter requires order 4")
-            if getattr(prob, "boundary", "periodic") != "periodic":
-                raise ValueError("the TVB limiter requires periodic boundaries")
+            if not periodic_1d:
+                raise ValueError("the TVB limiter requires a periodic 1D problem")
 
 
 @dataclass
@@ -99,64 +107,53 @@ def observed_order(err_coarse, err_fine, n_coarse, n_fine):
 
 
 def build_scheme(config: RunConfig, n: int):
-    """Instantiate problem, context and scheme for one grid level."""
-    problem = builtin(config.problem)
-    factor = SCHEDULE_FACTOR[config.integrator]
-    if isinstance(problem, Problem2D):
-        if config.order != 4:
-            raise ValueError("2D schemes are 4th order")
-        dx = (problem.x_hi - problem.x_lo) / n
-        dy = (problem.y_hi - problem.y_lo) / n
-        dt_fe = max_stable_dt_2d(problem, dx, dy, cap=config.dt_cap)
-        dt = _divisor_dt(factor * dt_fe, _final_time(config, problem))
-        ctx = StepContext2D(dx, dy, dt)
-        scheme = PeriodicScheme2D(problem, ctx, nx=n, ny=n,
-                                  bp_limit=config.bp_limiter)
-        return problem, scheme, dt
-    dx2 = config.dt_scale == "dx2"
-    if problem.boundary == "periodic":
-        dx = problem.length / n
-        cs1 = _cs1(config)
-        cs2 = _cs2(config)
-        dt_fe = max_stable_dt(problem, dx, cs1, cs2, ssp_coefficient=1.0,
-                              dx2_convection=dx2, cap=config.dt_cap)
-        dt = _divisor_dt(factor * dt_fe, _final_time(config, problem))
-        ctx = StepContext.create(dx, dt, config.order, config.alpha1, config.alpha2)
-        scheme = PeriodicScheme1D(problem, ctx, n=n, bp_limit=config.bp_limiter,
-                                  tvb_p=config.tvb)
-        return problem, scheme, dt
-    dx = problem.length / (n + 1)
-    if problem.boundary == "inflow-outflow":
-        dt_fe = dx / (3.0 * problem.max_fprime)
-        dt = _divisor_dt(factor * dt_fe, _final_time(config, problem))
-        ctx = StepContext.create(dx, dt, config.order)
-        scheme = InflowOutflowScheme(problem, ctx, n=n, bp_limit=config.bp_limiter)
-        return problem, scheme, dt
-    ctx = StepContext.create(dx, 1.0, config.order)
-    probe = DirichletConvDiffScheme(problem, ctx, n=n, bp_limit=config.bp_limiter)
-    dt = _divisor_dt(factor * probe.admissible_dt_fe(), _final_time(config, problem))
-    ctx = StepContext.create(dx, dt, config.order)
-    scheme = DirichletConvDiffScheme(problem, ctx, n=n, bp_limit=config.bp_limiter)
+    """Build problem, scheme and time step for one grid level.
+
+    The step is the scheme's admissible forward-Euler step, capped by
+    ``dt_cap``, times the integrator's schedule factor, shrunk to the
+    nearest divisor of the final time.  Invalid input raises
+    :class:`ConfigError`.
+    """
+    try:
+        problem = builtin(config.problem)
+        scheme = _scheme(problem, config, n)
+        dt_fe = scheme.admissible_dt_fe()
+        if config.dt_scale == "dx2":
+            # temporal-order verification: the convection step scales with dx^2
+            ctx = scheme.ctx
+            dt_fe = max_stable_dt(problem, ctx.dx, ctx.cs1, ctx.cs2, dx2_convection=True)
+        if config.dt_cap is not None:
+            dt_fe = min(dt_fe, config.dt_cap)
+        if not math.isfinite(dt_fe):
+            raise ValueError(f"{problem.name} has no CFL-limited time step; set dt_cap")
+        target = IntegratorSpec(config.integrator).schedule_factor * dt_fe
+        T = _final_time(config, problem)
+        dt = T / step_count(T, target)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return problem, scheme, dt
 
 
-def _cs1(config):
-    from .operators import first_derivative_coefficients
-    return first_derivative_coefficients(config.order, config.alpha1)
-
-
-def _cs2(config):
-    from .operators import second_derivative_coefficients
-    return second_derivative_coefficients(config.order, config.alpha2)
+def _scheme(problem, config: RunConfig, n: int):
+    if isinstance(problem, Problem2D):
+        if config.order != 4:
+            raise ValueError("2D schemes are 4th order")
+        ctx = StepContext2D((problem.x_hi - problem.x_lo) / n,
+                            (problem.y_hi - problem.y_lo) / n)
+        return PeriodicScheme2D(problem, ctx, nx=n, ny=n, bp_limit=config.bp_limiter)
+    if problem.boundary == "periodic":
+        ctx = StepContext.create(problem.length / n, config.order,
+                                 config.alpha1, config.alpha2)
+        return PeriodicScheme1D(problem, ctx, n=n, bp_limit=config.bp_limiter,
+                                tvb_p=config.tvb)
+    ctx = StepContext.create(problem.length / (n + 1), config.order)
+    if problem.boundary == "inflow-outflow":
+        return InflowOutflowScheme(problem, ctx, n=n, bp_limit=config.bp_limiter)
+    return DirichletConvDiffScheme(problem, ctx, n=n, bp_limit=config.bp_limiter)
 
 
 def _final_time(config, problem):
     return config.T if config.T is not None else problem.default_T
-
-
-def _divisor_dt(dt_target: float, T: float) -> float:
-    nsteps = max(1, int(np.ceil(T / dt_target * (1.0 - 1e-12))))
-    return T / nsteps
 
 
 def _cell_volume(problem, scheme):
@@ -321,7 +318,7 @@ def _write_single_csv(config, result) -> Path:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{config.problem}_solution.csv"
-    problem, scheme, state = result["problem"], result["scheme"], result["state"]
+    scheme, state = result["scheme"], result["state"]
     rep: LimiterReport = result["report"]
     extra = {
         "N": result["n"],
@@ -338,10 +335,8 @@ def _write_single_csv(config, result) -> Path:
     for line in _meta_lines(config, extra):
         buf.write(line + "\r\n")
     exact = result["exact"]
-    if isinstance(problem, Problem2D):
-        names, columns = ["x", "y", "u"], [*scheme.grid(), state]
-    else:
-        names, columns = ["x", "u"], [scheme.x, state]
+    coords = scheme.grid()
+    names, columns = ["x", "y"][:len(coords)] + ["u"], [*coords, state]
     if exact is not None:
         names.append("u_exact")
         columns.append(exact)

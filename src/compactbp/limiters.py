@@ -512,28 +512,12 @@ def cascade_limit(u: np.ndarray, bounds: Bounds, chain) -> tuple[np.ndarray, Lim
 # TVB flux limiting
 # ---------------------------------------------------------------------------
 
-def modified_minmod(args, p: float, dx: float) -> float:
-    """Minmod with a smoothness exemption below ``p * dx**2``.
-
-    Returns ``args[0]`` when ``|args[0]| <= p * dx**2``; otherwise the
-    common-sign minimum magnitude, or 0 on sign disagreement.
-    """
-    if len(args) == 0:
-        raise ValueError("modified_minmod needs at least one argument")
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    a1 = float(args[0])
-    if abs(a1) <= p * dx * dx:
-        return a1
-    signs = np.sign(args)
-    s = signs[0]
-    if s == 0 or not np.all(signs == s):
-        return 0.0
-    return float(s * np.min(np.abs(args)))
-
-
 def _minmod_rows(a1, a2, a3, p, dx):
-    """Vectorized modified minmod over three stacked argument arrays."""
+    """Minmod with a smoothness exemption below ``p * dx**2``, elementwise.
+
+    Returns ``a1`` where ``|a1| <= p * dx**2``; elsewhere the common-sign
+    minimum magnitude of ``a1, a2, a3``, or 0 on sign disagreement.
+    """
     smooth = np.abs(a1) <= p * dx * dx
     s = np.sign(a1)
     agree = (np.sign(a2) == s) & (np.sign(a3) == s) & (s != 0)

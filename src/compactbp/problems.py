@@ -34,11 +34,12 @@ def barenblatt(x, t, m_exp: int):
     return t ** (-k) * np.maximum(core, 0.0) ** (1.0 / (m_exp - 1))
 
 
-def _implicit_advection(u0, u0_prime_max):
+def _implicit_advection(u0, u0_prime, u0_prime_max):
     """Exact smooth solution of u_t + (u^2/2)_x = 0 by characteristics.
 
-    Solves ``w = u0(x - w t)`` by Newton iteration; valid while
-    ``t * max|u0'| < 1`` (pre-shock).
+    Solves ``w = u0(x - w t)`` by Newton iteration with the analytic
+    derivative ``u0_prime``; valid while ``t * u0_prime_max < 1``
+    (pre-shock), where ``u0_prime_max`` bounds ``|u0'|``.
     """
 
     def exact(x, t):
@@ -51,9 +52,7 @@ def _implicit_advection(u0, u0_prime_max):
         for _ in range(100):
             xi = x - w * t
             f = w - u0(xi)
-            # derivative of u0 by centered finite difference is avoided:
-            # the registry passes analytic profiles, differentiate exactly
-            fp = 1.0 + t * _D_U0[u0](xi)
+            fp = 1.0 + t * u0_prime(xi)
             step = f / fp
             w = w - step
             if np.max(np.abs(step)) < 1e-15:
@@ -63,7 +62,7 @@ def _implicit_advection(u0, u0_prime_max):
     return exact
 
 
-# analytic derivatives of the initial profiles used by the Newton solve
+# initial profiles of the Burgers problems and their analytic derivatives
 def _burgers_u0(x):
     return np.sin(x) + 0.5
 
@@ -86,13 +85,6 @@ def _burgers2d_u0(xi):
 
 def _burgers2d_u0_prime(xi):
     return np.cos(xi)
-
-
-_D_U0 = {
-    _burgers_u0: _burgers_u0_prime,
-    _inflow_u0: _inflow_u0_prime,
-    _burgers2d_u0: _burgers2d_u0_prime,
-}
 
 
 def _step_profile(x):
@@ -177,7 +169,7 @@ def _build(problem_id: str):
             bounds=Bounds(-0.5, 1.5),
             initial=_burgers_u0,
             flux=lambda u: 0.5 * u * u, max_fprime=1.5, min_fprime=-0.5,
-            exact=_implicit_advection(_burgers_u0, 1.0),
+            exact=_implicit_advection(_burgers_u0, _burgers_u0_prime, 1.0),
             default_T=0.5,
         )
     if problem_id == "convdiff-lin":
@@ -195,7 +187,7 @@ def _build(problem_id: str):
         m_exp = 5 if problem_id == "pme-1d" else int(problem_id.rsplit("m", 1)[1])
         return _pme_1d(m_exp)
     if problem_id == "inflow-burgers":
-        periodic_exact = _implicit_advection(_inflow_u0, 0.5)
+        periodic_exact = _implicit_advection(_inflow_u0, _inflow_u0_prime, 0.5)
         return Problem1D(
             name=problem_id, x_lo=0.0, x_hi=TWO_PI,
             boundary="inflow-outflow",
@@ -236,7 +228,7 @@ def _build(problem_id: str):
             default_T=1.0,
         )
     if problem_id == "2d-burgers":
-        exact_1d = _implicit_advection(_burgers2d_u0, 1.0)
+        exact_1d = _implicit_advection(_burgers2d_u0, _burgers2d_u0_prime, 1.0)
         return Problem2D(
             name=problem_id,
             x_lo=-np.pi, x_hi=np.pi, y_lo=-np.pi, y_hi=np.pi,

@@ -2,16 +2,16 @@
 
 A scheme advances the weighted means of the point values with an explicit
 conservative update and recovers (optionally limiting) the point values by
-inverting the weighting chain.  Forward-Euler steps are exposed directly;
-high-order SSP integrators drive the same ``means`` / ``rhs_means`` /
-``recover`` triple through convex combinations, see :mod:`.timeint`.
-
-Steps are pure given their inputs; a scheme instance holds no mutable
-state, so distinct refinement levels may run concurrently.
+inverting the weighting chain.  :class:`Scheme` is the protocol every
+scheme (1D, 2D and the non-periodic ones) shares: forward-Euler steps are
+exposed directly, and the SSP integrators of :mod:`.timeint` drive the
+same ``means`` / ``rhs_means`` / ``recover`` triple through convex
+combinations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,6 +30,12 @@ class CflError(ValueError):
         super().__init__(
             f"dt = {dt:.6g} exceeds the admissible forward-Euler step "
             f"{admissible:.6g}{(' for ' + what) if what else ''}")
+
+
+def check_dt(dt: float, admissible: float, what: str = "") -> None:
+    """Raise :class:`CflError` when ``dt`` exceeds ``admissible`` beyond round-off."""
+    if dt > admissible * (1.0 + 1e-9):
+        raise CflError(dt, admissible, what)
 
 
 def check_grid_size(problem, n: int | None, minimum: int, what: str = "N") -> None:
@@ -100,10 +106,9 @@ class Problem1D:
 
 @dataclass(frozen=True)
 class StepContext:
-    """Grid spacing, time step and the active coefficient sets."""
+    """Grid spacing and the active coefficient sets; the integrator owns ``dt``."""
 
     dx: float
-    dt: float
     accuracy_order: int
     cs1: ops.CoefficientSet
     cs2: ops.CoefficientSet
@@ -111,22 +116,14 @@ class StepContext:
     chain2: tuple[float, ...]
 
     @classmethod
-    def create(cls, dx: float, dt: float, accuracy_order: int = 4,
+    def create(cls, dx: float, accuracy_order: int = 4,
                alpha1: float | None = None, alpha2: float | None = None) -> "StepContext":
-        if dx <= 0 or dt <= 0:
-            raise ValueError("dx and dt must be positive")
+        if dx <= 0:
+            raise ValueError("dx must be positive")
         cs1 = ops.first_derivative_coefficients(accuracy_order, alpha1)
         cs2 = ops.second_derivative_coefficients(accuracy_order, alpha2)
-        return cls(dx, dt, accuracy_order, cs1, cs2,
+        return cls(dx, accuracy_order, cs1, cs2,
                    ops.recovery_chain(cs1), ops.recovery_chain(cs2))
-
-    @property
-    def lam(self) -> float:
-        return self.dt / self.dx
-
-    @property
-    def mu(self) -> float:
-        return self.dt / self.dx ** 2
 
 
 def max_stable_dt(problem, dx: float, cs1: ops.CoefficientSet,
@@ -161,7 +158,56 @@ def max_stable_dt(problem, dx: float, cs1: ops.CoefficientSet,
     return dt
 
 
-class PeriodicScheme1D:
+class Scheme:
+    """The protocol every fully discrete scheme shares.
+
+    Under the CFL bound ``admissible_dt_fe()`` a forward-Euler step keeps
+    the weighted means in ``[m, M]``, and the SSP methods of
+    :mod:`.timeint` are convex combinations of such steps.  So a subclass
+    supplies only the problem-specific parts: ``means(u)`` (the weighted
+    means of the point values), ``rhs_means(u, t)`` (their time
+    derivative), ``recover(q, t, limiting)`` (point values from updated
+    means, limited when ``limiting``, or ``bp_limit`` if it is None),
+    ``admissible_dt_fe()`` and ``_coordinates(n)`` (the grid point
+    coordinates, one array per dimension).  The time step belongs to the
+    caller: one instance serves every ``dt`` and holds no mutable state,
+    so distinct refinement levels may run concurrently.
+    """
+
+    def __init__(self, problem, ctx, n, bp_limit: bool):
+        self.problem = problem
+        self.ctx = ctx
+        self.n = n
+        self.bp_limit = bp_limit
+
+    @property
+    def bounds(self) -> Bounds:
+        return self.problem.bounds
+
+    def grid(self) -> tuple[np.ndarray, ...]:
+        """Coordinates of the grid points, one array per dimension."""
+        if self.n is None:
+            raise ValueError("scheme was built without a grid size")
+        return self._coordinates(self.n)
+
+    def initial_state(self) -> tuple[np.ndarray, float]:
+        return np.asarray(self.problem.initial(*self.grid()), dtype=float), 0.0
+
+    def exact_state(self, t: float) -> np.ndarray | None:
+        if self.problem.exact is None:
+            return None
+        return np.asarray(self.problem.exact(*self.grid(), t), dtype=float)
+
+    def euler_step(self, u: np.ndarray, dt: float, t: float = 0.0,
+                   limiting: bool | None = None):
+        """One forward-Euler step from time ``t``: returns (u_new, means_new, report)."""
+        check_dt(dt, self.admissible_dt_fe(), self.problem.name)
+        q = self.means(u) + dt * self.rhs_means(u, t)
+        u_new, report = self.recover(q, t + dt, limiting)
+        return u_new, q, report
+
+
+class PeriodicScheme1D(Scheme):
     """Mean-update / recovery machinery for one periodic 1D problem.
 
     ``bp_limit`` switches the bound-preserving limiter cascade on
@@ -175,16 +221,15 @@ class PeriodicScheme1D:
         if problem.boundary != "periodic":
             raise ValueError("PeriodicScheme1D requires a periodic problem")
         if tvb_p is not None:
+            if not tvb_p >= 0:
+                raise ValueError(f"the TVB threshold p must be nonnegative, got {tvb_p}")
             if problem.has_diffusion:
                 raise ValueError("the TVB flux limiter is defined for pure convection")
             if ctx.accuracy_order != 4:
                 raise ValueError("the TVB flux limiter pairs with the 4th-order flux")
         # the periodic weighting solve needs three points
         check_grid_size(problem, n, 3)
-        self.problem = problem
-        self.ctx = ctx
-        self.n = n
-        self.bp_limit = bp_limit
+        super().__init__(problem, ctx, n, bp_limit)
         self.tvb_p = tvb_p
         self.mode = problem.mode()
         self.stencil1 = ops.difference_stencil(ctx.cs1)
@@ -196,32 +241,13 @@ class PeriodicScheme1D:
         else:
             self.chain = ctx.chain2 + ctx.chain1
 
-    @property
-    def bounds(self) -> Bounds:
-        return self.problem.bounds
-
-    @property
-    def x(self) -> np.ndarray:
-        if self.n is None:
-            raise ValueError("scheme was built without a grid size")
-        return periodic_grid(self.problem, self.n)[0]
-
-    def initial_state(self) -> tuple[np.ndarray, float]:
-        return np.asarray(self.problem.initial(self.x), dtype=float), 0.0
-
-    def exact_state(self, t: float) -> np.ndarray | None:
-        if self.problem.exact is None:
-            return None
-        return np.asarray(self.problem.exact(self.x, t), dtype=float)
+    def _coordinates(self, n):
+        return (periodic_grid(self.problem, n)[0],)
 
     def admissible_dt_fe(self) -> float:
+        # the cap makes a problem with no active term unbounded, as in 2D
         return max_stable_dt(self.problem, self.ctx.dx, self.ctx.cs1, self.ctx.cs2,
-                             self.mode)
-
-    def validate_cfl(self, ssp_coefficient: float = 1.0):
-        admissible = ssp_coefficient * self.admissible_dt_fe()
-        if self.ctx.dt > admissible * (1.0 + 1e-9):
-            raise CflError(self.ctx.dt, admissible, self.problem.name)
+                             self.mode, cap=math.inf)
 
     def means(self, u: np.ndarray) -> np.ndarray:
         return ops.apply_weighting_chain(self.chain, u)
@@ -246,30 +272,6 @@ class PeriodicScheme1D:
                 limiting: bool | None = None) -> tuple[np.ndarray, LimiterReport]:
         limiting = self.bp_limit if limiting is None else limiting
         return recover_point_values(q, self.chain, self.bounds, limiting)
-
-    def euler_step(self, u: np.ndarray, t: float = 0.0,
-                   limiting: bool | None = None):
-        """One forward-Euler step: returns (u_new, means_new, report)."""
-        self.validate_cfl()
-        q = self.means(u) + self.ctx.dt * self.rhs_means(u, t)
-        u_new, report = self.recover(q, t + self.ctx.dt, limiting)
-        return u_new, q, report
-
-
-def euler_step_convection(u: np.ndarray, ctx: StepContext, problem: Problem1D,
-                          *, bp_limit: bool = True):
-    """Forward-Euler convection step; returns (u_new, means_new, report)."""
-    if problem.has_diffusion:
-        raise ValueError("problem has a diffusion term; use euler_step_convdiff")
-    scheme = PeriodicScheme1D(problem, ctx, bp_limit=bp_limit)
-    return scheme.euler_step(u)
-
-
-def euler_step_convdiff(u: np.ndarray, ctx: StepContext, problem: Problem1D,
-                        *, bp_limit: bool = True):
-    """Forward-Euler convection-diffusion step (also covers pure diffusion)."""
-    scheme = PeriodicScheme1D(problem, ctx, bp_limit=bp_limit)
-    return scheme.euler_step(u)
 
 
 def periodic_grid(problem, n: int) -> tuple[np.ndarray, float]:

@@ -11,6 +11,7 @@ cannot change the result; levels are sequential.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import operators as ops
 from .limiters import Bounds, LimiterReport, limit_bounds
-from .schemes1d import CflError, check_grid_size
+from .schemes1d import Scheme, check_grid_size
 
 
 @dataclass(frozen=True)
@@ -62,27 +63,10 @@ class Problem2D:
 
 @dataclass(frozen=True)
 class StepContext2D:
-    """Spacings and time step; the 2D schemes are 4th order."""
+    """Spacings; the 2D schemes are 4th order and the integrator owns ``dt``."""
 
     dx: float
     dy: float
-    dt: float
-
-    @property
-    def lam_x(self):
-        return self.dt / self.dx
-
-    @property
-    def lam_y(self):
-        return self.dt / self.dy
-
-    @property
-    def mu_x(self):
-        return self.dt / self.dx ** 2
-
-    @property
-    def mu_y(self):
-        return self.dt / self.dy ** 2
 
 
 _W4 = ops.WeightOperator(4.0)
@@ -112,36 +96,27 @@ def _dxx_central(f, axis):
     return out
 
 
-def max_stable_dt_2d(problem: Problem2D, dx: float, dy: float,
-                     ssp_coefficient: float = 1.0,
-                     cap: float | None = None) -> float:
-    """Weak-monotonicity time step for the tensorized 4th-order schemes.
+def max_stable_dt_2d(problem: Problem2D, dx: float, dy: float) -> float:
+    """Weak-monotonicity forward-Euler step for the tensorized 4th-order schemes.
 
     The directional contributions add: convection requires
     ``dt (|f'|/dx + |g'|/dy) <= 1/3`` and diffusion
     ``dt (a'/dx^2 + b'/dy^2) <= 5/12``, both halved when the two terms
-    are combined.
+    are combined.  With neither term active the step is unbounded (inf).
     """
     mode = problem.mode()
     half = 0.5 if mode == "convdiff" else 1.0
-    limits = []
+    limits = [math.inf]
     conv = problem.max_fprime / dx + problem.max_gprime / dy
     if conv > 0:
         limits.append(half * (1.0 / 3.0) / conv)
     diff = problem.max_aprime / dx ** 2 + problem.max_bprime / dy ** 2
     if diff > 0:
         limits.append(half * (5.0 / 12.0) / diff)
-    if not limits:
-        if cap is None:
-            raise ValueError("problem has no active CFL constraint; supply a cap")
-        return cap
-    dt = ssp_coefficient * min(limits)
-    if cap is not None:
-        dt = min(dt, cap)
-    return dt
+    return min(limits)
 
 
-class PeriodicScheme2D:
+class PeriodicScheme2D(Scheme):
     """Mean-update / recovery machinery for one periodic 2D problem.
 
     The limiting cascade solves and limits dimension by dimension:
@@ -159,11 +134,8 @@ class PeriodicScheme2D:
         # the periodic weighting solves need three points along each axis
         check_grid_size(problem, nx, 3, "nx")
         check_grid_size(problem, ny, 3, "ny")
-        self.problem = problem
-        self.ctx = ctx
-        self.nx = nx
-        self.ny = ny
-        self.bp_limit = bp_limit
+        super().__init__(problem, ctx, None if nx is None or ny is None else (nx, ny),
+                         bp_limit)
         self.mode = problem.mode()
         self.sweep_order = sweep_order
         # recovery levels as (c, axis) in solve order
@@ -175,35 +147,14 @@ class PeriodicScheme2D:
             levels += [(10.0, axes[0]), (10.0, axes[1])]
         self.levels = tuple(levels)
 
-    @property
-    def bounds(self) -> Bounds:
-        return self.problem.bounds
-
-    def grid(self):
-        if self.nx is None or self.ny is None:
-            raise ValueError("scheme was built without grid sizes")
-        dx, dy = self.ctx.dx, self.ctx.dy
-        x = self.problem.x_lo + dx * np.arange(1, self.nx + 1)
-        y = self.problem.y_lo + dy * np.arange(1, self.ny + 1)
+    def _coordinates(self, n):
+        nx, ny = n
+        x = self.problem.x_lo + self.ctx.dx * np.arange(1, nx + 1)
+        y = self.problem.y_lo + self.ctx.dy * np.arange(1, ny + 1)
         return np.meshgrid(x, y, indexing="ij")
-
-    def initial_state(self):
-        xx, yy = self.grid()
-        return np.asarray(self.problem.initial(xx, yy), dtype=float), 0.0
-
-    def exact_state(self, t: float):
-        if self.problem.exact is None:
-            return None
-        xx, yy = self.grid()
-        return np.asarray(self.problem.exact(xx, yy, t), dtype=float)
 
     def admissible_dt_fe(self) -> float:
         return max_stable_dt_2d(self.problem, self.ctx.dx, self.ctx.dy)
-
-    def validate_cfl(self, ssp_coefficient: float = 1.0):
-        admissible = ssp_coefficient * self.admissible_dt_fe()
-        if self.ctx.dt > admissible * (1.0 + 1e-9):
-            raise CflError(self.ctx.dt, admissible, self.problem.name)
 
     def means(self, u: np.ndarray) -> np.ndarray:
         q = np.asarray(u, dtype=float)
@@ -259,26 +210,3 @@ class PeriodicScheme2D:
                 v, rep = limit_bounds(v, self.bounds, c, axis=axis, means=rhs)
                 report = rep if report is None else report.merge(rep)
         return v, LimiterReport() if report is None else report
-
-    def euler_step(self, u: np.ndarray, t: float = 0.0,
-                   limiting: bool | None = None):
-        self.validate_cfl()
-        q = self.means(u) + self.ctx.dt * self.rhs_means(u, t)
-        u_new, report = self.recover(q, t + self.ctx.dt, limiting)
-        return u_new, q, report
-
-
-def euler_step_2d_convection(u: np.ndarray, ctx: StepContext2D,
-                             problem: Problem2D, *, bp_limit: bool = True):
-    """Forward-Euler 2D convection step; returns (u_new, means_new, report)."""
-    if problem.has_diffusion:
-        raise ValueError("problem has diffusion terms; use euler_step_2d_convdiff")
-    scheme = PeriodicScheme2D(problem, ctx, bp_limit=bp_limit)
-    return scheme.euler_step(u)
-
-
-def euler_step_2d_convdiff(u: np.ndarray, ctx: StepContext2D,
-                           problem: Problem2D, *, bp_limit: bool = True):
-    """Forward-Euler 2D convection-diffusion step."""
-    scheme = PeriodicScheme2D(problem, ctx, bp_limit=bp_limit)
-    return scheme.euler_step(u)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limiters import LimiterReport
-from .schemes1d import CflError
+from .schemes1d import check_dt
 
 # Six-step fourth-order SSP multistep method (optimal nonnegative-beta
 # tableau; its SSP coefficient is the real root of 100 x^3 + 25 x^2 + 66 x
@@ -62,28 +62,44 @@ def rk54_stage_times() -> tuple[float, ...]:
     return tuple(c)
 
 
-_SSP_COEFFS = {"fe": 1.0, "ms4": SSP_COEFF_MS4, "rk4": SSP_COEFF_RK4}
+#: method -> (SSP coefficient, schedule factor).  The schedule factor is
+#: the share of the admissible forward-Euler step a run takes: the full
+#: step for forward Euler, the SSP coefficient for the multistep method,
+#: and five times that for Runge-Kutta (the same number of spatial
+#: operator evaluations per unit time; its SSP coefficient leaves margin).
+METHODS = {
+    "fe": (1.0, 1.0),
+    "ms4": (SSP_COEFF_MS4, SSP_COEFF_MS4),
+    "rk4": (SSP_COEFF_RK4, 5.0 * SSP_COEFF_MS4),
+}
+
+
+def step_count(T: float, dt: float) -> int:
+    """Steps of at most ``dt`` (up to round-off) that cover ``T`` exactly."""
+    return max(1, math.ceil(T / dt * (1.0 - 1e-12)))
 
 
 @dataclass(frozen=True)
 class IntegratorSpec:
-    """Method selection plus limiter placement.
+    """Method selection.
 
-    ``limit_every_stage`` only affects the Runge-Kutta method (the
-    multistep method limits once per step by construction); the multistep
-    startup uses Runge-Kutta priming steps at the same dt.
+    The multistep startup uses Runge-Kutta priming steps at the same dt,
+    and the limiter runs after every Runge-Kutta stage.
     """
 
     method: str = "ms4"
-    limit_every_stage: bool = True
 
     def __post_init__(self):
-        if self.method not in _SSP_COEFFS:
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
     @property
     def ssp_coefficient(self) -> float:
-        return _SSP_COEFFS[self.method]
+        return METHODS[self.method][0]
+
+    @property
+    def schedule_factor(self) -> float:
+        return METHODS[self.method][1]
 
 
 class OdeScheme:
@@ -107,30 +123,42 @@ class OdeScheme:
 
 
 class SspIntegrator:
-    """Stateful driver: owns the multistep history for one solve."""
+    """Stateful driver: owns the time step, clock and history of one solve.
 
-    def __init__(self, scheme, spec: IntegratorSpec, dt: float, *,
-                 check_cfl: bool = True):
+    The clock is exact: step ``k`` ends at ``t0 + span * (k / steps)``
+    with ``dt = span / steps``.  ``SspIntegrator(scheme, spec, dt)`` has
+    ``span = dt`` and ``steps = 1``; :meth:`spanning` builds one that
+    covers a given time in a given number of steps.
+    """
+
+    def __init__(self, scheme, spec: IntegratorSpec, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.scheme = scheme
         self.spec = spec
         self.dt = float(dt)
-        if check_cfl:
-            admissible = spec.ssp_coefficient * scheme.admissible_dt_fe()
-            if self.dt > admissible * (1.0 + 1e-9):
-                raise CflError(self.dt, admissible, spec.method)
+        check_dt(self.dt, spec.ssp_coefficient * scheme.admissible_dt_fe(), spec.method)
+        self._span = (self.dt, 1)
         self._hist: list[tuple] = []  # (state, means, rhs, t), newest last
         self.report = LimiterReport()
+
+    @classmethod
+    def spanning(cls, scheme, spec: IntegratorSpec, T: float, steps: int):
+        """An integrator whose ``steps``-th step ends at ``t0 + T`` exactly."""
+        integ = cls(scheme, spec, T / steps)
+        integ._span = (T, steps)
+        return integ
 
     def _entry(self, u, t):
         return (u, self.scheme.means(u), self.scheme.rhs_means(u, t), t)
 
     def start(self, u0, t0=0.0):
+        self._t0 = t0
+        self._k = 0
         self._hist = [self._entry(np.asarray(u0, dtype=float), t0)]
         return self
 
-    def _rk_step(self, limit_stages: bool):
+    def _rk_step(self):
         u0, m0, r0, t = self._hist[-1]
         dt = self.dt
         stages = [(m0, r0)]
@@ -142,26 +170,23 @@ class SspIntegrator:
                 mj, rj = stages[j]
                 q = q + a * mj + dt * b * rj
             t_stage = t + times[k] * dt
-            final = k == len(RK54_STAGES)
-            limiting = None if (limit_stages or final) else False
-            u_stage, rep = self.scheme.recover(q, t_stage, limiting=limiting)
+            u_stage, rep = self.scheme.recover(q, t_stage)
             self.report = self.report.merge(rep)
-            if not final:
+            if k < len(RK54_STAGES):
                 stages.append((self.scheme.means(u_stage),
                                self.scheme.rhs_means(u_stage, t_stage)))
-        return u_stage, t + dt
+        return u_stage
 
     def _ms_step(self):
         dt = self.dt
-        t_new = self._hist[-1][3] + dt
         q = 0.0
         for lag, a in MS4_ALPHA.items():
             q = q + a * self._hist[-lag][1]
         for lag, b in MS4_BETA.items():
             q = q + dt * b * self._hist[-lag][2]
-        u_new, rep = self.scheme.recover(q, t_new)
+        u_new, rep = self.scheme.recover(q, self._hist[-1][3] + dt)
         self.report = self.report.merge(rep)
-        return u_new, t_new
+        return u_new
 
     def advance(self):
         """Advance one step and return the new state."""
@@ -172,16 +197,15 @@ class SspIntegrator:
             u, m, r, t = self._hist[-1]
             u_new, rep = self.scheme.recover(m + self.dt * r, t + self.dt)
             self.report = self.report.merge(rep)
-            t_new = t + self.dt
-        elif method == "rk4":
-            u_new, t_new = self._rk_step(self.spec.limit_every_stage)
-        elif method == "ms4":
-            if len(self._hist) < MS4_STEPS:
-                # prime the history window with Runge-Kutta steps at the same dt
-                u_new, t_new = self._rk_step(limit_stages=True)
-            else:
-                u_new, t_new = self._ms_step()
-        self._hist.append(self._entry(u_new, t_new))
+        elif method == "rk4" or len(self._hist) < MS4_STEPS:
+            # the multistep method primes its history window with
+            # Runge-Kutta steps at the same dt
+            u_new = self._rk_step()
+        else:
+            u_new = self._ms_step()
+        self._k += 1
+        span, steps = self._span
+        self._hist.append(self._entry(u_new, span * (self._k / steps) + self._t0))
         if len(self._hist) > MS4_STEPS:
             self._hist.pop(0)
         return u_new
@@ -195,44 +219,23 @@ class SspIntegrator:
         return self._hist[-1][3]
 
 
-def advance(state, scheme, dt: float, spec: IntegratorSpec, t: float = 0.0,
-            *, check_cfl: bool = True):
-    """One step of the selected method from a bare state (no history).
-
-    Multistep selection falls back to the Runge-Kutta priming step, since
-    a single state carries no history window.
-    """
-    integ = SspIntegrator(scheme, spec, dt, check_cfl=check_cfl).start(state, t)
-    return integ.advance()
-
-
-def integrate_to(scheme, T: float, spec: IntegratorSpec, *,
-                 dt: float | None = None, dt_cap: float | None = None,
-                 check_cfl: bool = True):
+def integrate_to(scheme, T: float, spec: IntegratorSpec, *, dt: float):
     """Integrate from the scheme problem's initial data to time T.
 
-    The target step (``dt`` or the CFL-and-SSP-limited maximum) is reduced
-    to the nearest divisor of T so the multistep history keeps a constant
-    step and the final time is hit exactly.  Returns
-    ``(state, step_log, report)`` where ``step_log`` lists the step times.
+    The target step ``dt`` is reduced to the nearest divisor of T so the
+    multistep history keeps a constant step and the final time is hit
+    exactly.  Returns ``(state, step_log, report)`` where ``step_log``
+    lists the step times.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    if dt is None:
-        dt = spec.ssp_coefficient * scheme.admissible_dt_fe()
-        if dt_cap is not None:
-            dt = min(dt, dt_cap)
     if not math.isfinite(dt) or dt <= 0:
-        raise ValueError("no finite time step available; supply dt or dt_cap")
-    nsteps = max(1, math.ceil(T / dt * (1.0 - 1e-12)))
-    dt = T / nsteps
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    nsteps = step_count(T, dt)
     u0, t0 = scheme.initial_state()
-    integ = SspIntegrator(scheme, spec, dt, check_cfl=check_cfl).start(u0, t0)
+    integ = SspIntegrator.spanning(scheme, spec, T, nsteps).start(u0, t0)
     log = []
-    for k in range(1, nsteps + 1):
+    for _ in range(nsteps):
         integ.advance()
-        # keep the clock exact: t_k = T * k / nsteps
-        t_k = T * (k / nsteps) + t0
-        integ._hist[-1] = integ._hist[-1][:3] + (t_k,)
-        log.append(t_k)
+        log.append(integ.time)
     return integ.state, log, integ.report

@@ -331,12 +331,12 @@ class TestCriterion10:
         prob = Problem1D(name="bf", x_lo=0.0, x_hi=5.0, bounds=B(0.0, 1.0),
                          initial=lambda x: 0 * x, flux=lambda u: u,
                          max_fprime=1.0)
-        ctx = StepContext.create(1.0, 1.0 / 3.0, 4)
-        scheme = PeriodicScheme1D(prob, ctx, bp_limit=False)
+        dt = 1.0 / 3.0
+        scheme = PeriodicScheme1D(prob, StepContext.create(1.0, 4), bp_limit=False)
         lattice = np.linspace(0.0, 1.0, 5)
         for combo in itertools.product(range(5), repeat=5):
             u = lattice[list(combo)]
-            q = scheme.means(u) + ctx.dt * scheme.rhs_means(u)
+            q = scheme.means(u) + dt * scheme.rhs_means(u)
             assert q.min() >= -1e-13
             assert q.max() <= 1 + 1e-13
         _report(10, f"weak monotonicity brute force: {5 ** 5} states at the "

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from compactbp.boundary import (DirichletConvDiffScheme, DirichletOperators,
                                 InflowOutflowScheme, _banded_end_aware,
-                                dirichlet_convdiff_step, inflow_outflow_step,
                                 outflow_extrapolate)
 from compactbp.limiters import Bounds
 from compactbp.schemes1d import CflError, Problem1D, StepContext
@@ -48,9 +47,9 @@ class TestInflowOutflow:
     def test_constant_state(self):
         prob = constant_inflow_problem()
         n = 20
-        ctx = StepContext.create(1.0 / (n + 1), 1e-3, 4)
+        scheme = InflowOutflowScheme(prob, StepContext.create(1.0 / (n + 1), 4))
         u0 = np.full(n + 2, 0.5)
-        u1, q, _ = inflow_outflow_step(u0, ctx, prob)
+        u1, q, _ = scheme.euler_step(u0, 1e-3)
         assert_allclose(u1, u0, atol=1e-14)
 
     def test_dense_assembly_oracle(self):
@@ -58,11 +57,10 @@ class TestInflowOutflow:
         n = 24
         dx = prob.length / (n + 1)
         dt = 0.3 * dx / 3.0
-        ctx = StepContext.create(dx, dt, 4)
-        scheme = InflowOutflowScheme(prob, ctx, n=n, bp_limit=False)
-        x = scheme.x
+        scheme = InflowOutflowScheme(prob, StepContext.create(dx, 4), n=n, bp_limit=False)
+        (x,) = scheme.grid()
         u0 = prob.initial(x)
-        u1, q1, _ = scheme.euler_step(u0, t=0.0)
+        u1, q1, _ = scheme.euler_step(u0, dt, t=0.0)
         # dense route: means update, boundary values, tridiagonal solve
         f = prob.flux(u0)
         q = (u0[:-2] + 4 * u0[1:-1] + u0[2:]) / 6 - dt / (2 * dx) * (f[2:] - f[:-2])
@@ -88,25 +86,24 @@ class TestInflowOutflow:
                          flux=lambda u: 0.5 * u * u, max_fprime=1.0, min_fprime=-1.0,
                          left_value=lambda t: 0.0)
         with pytest.raises(ValueError, match="f' >= 0"):
-            InflowOutflowScheme(prob, StepContext.create(0.1, 1e-3, 4))
+            InflowOutflowScheme(prob, StepContext.create(0.1, 4))
 
     def test_cfl_validation(self):
         prob = constant_inflow_problem()
-        ctx = StepContext.create(0.1, 0.2, 4)
+        scheme = InflowOutflowScheme(prob, StepContext.create(0.1, 4))
         with pytest.raises(CflError):
-            inflow_outflow_step(np.full(12, 0.5), ctx, prob)
+            scheme.euler_step(np.full(12, 0.5), 0.2)
 
     def test_bounds_after_recovery(self):
         prob = builtin("inflow-burgers")
         n = 40
         dx = prob.length / (n + 1)
         dt = 0.1648 * dx / 3.0
-        ctx = StepContext.create(dx, dt, 4)
-        scheme = InflowOutflowScheme(prob, ctx, n=n, bp_limit=True)
-        u = prob.initial(scheme.x)
+        scheme = InflowOutflowScheme(prob, StepContext.create(dx, 4), n=n, bp_limit=True)
+        u = prob.initial(scheme.grid()[0])
         t = 0.0
         for _ in range(50):
-            u, _, _ = scheme.euler_step(u, t)
+            u, _, _ = scheme.euler_step(u, dt, t)
             t += dt
             assert u.min() >= -1e-12
             assert u.max() <= 1 + 1e-12
@@ -161,9 +158,9 @@ class TestDirichletScheme:
     def test_constant_state(self):
         prob = self._constant_problem()
         n = 18
-        ctx = StepContext.create(1.0 / (n + 1), 1e-4, 4)
+        scheme = DirichletConvDiffScheme(prob, StepContext.create(1.0 / (n + 1), 4))
         u0 = np.full(n + 2, 0.5)
-        u1, q, _ = dirichlet_convdiff_step(u0, ctx, prob)
+        u1, q, _ = scheme.euler_step(u0, 1e-4)
         assert_allclose(u1, u0, atol=1e-14)
 
     def test_reconstruction_factorization(self):
@@ -172,7 +169,7 @@ class TestDirichletScheme:
         prob = builtin("dirichlet-convdiff")
         rng = np.random.default_rng(41)
         for n in (6, 17, 40):
-            ctx = StepContext.create(prob.length / (n + 1), 1e-4, 4)
+            ctx = StepContext.create(prob.length / (n + 1), 4)
             scheme = DirichletConvDiffScheme(prob, ctx, n=n)
             u = rng.uniform(-1, 1, n + 2)
             q = scheme.means(u)
@@ -191,7 +188,7 @@ class TestDirichletScheme:
         prob = builtin("dirichlet-convdiff")
         rng = np.random.default_rng(42)
         n = 25
-        ctx = StepContext.create(prob.length / (n + 1), 1e-4, 4)
+        ctx = StepContext.create(prob.length / (n + 1), 4)
         scheme = DirichletConvDiffScheme(prob, ctx, n=n)
         for _ in range(200):
             u = rng.uniform(-1, 1, n + 2)
@@ -206,10 +203,10 @@ class TestDirichletScheme:
         prob = builtin("dirichlet-convdiff")
         n = 20
         dx = prob.length / (n + 1)
-        ctx = StepContext.create(dx, 1e-4, 4)
-        scheme = DirichletConvDiffScheme(prob, ctx, n=n, bp_limit=False)
-        u0 = prob.initial(scheme.x)
-        u1, q1, _ = scheme.euler_step(u0, t=0.0)
+        dt = 1e-4
+        scheme = DirichletConvDiffScheme(prob, StepContext.create(dx, 4), n=n, bp_limit=False)
+        u0 = prob.initial(scheme.grid()[0])
+        u1, q1, _ = scheme.euler_step(u0, dt, t=0.0)
         # dense mean update from the printed rows
         f, g = prob.flux(u0), prob.diffusion(u0)
         q = scheme.means(u0)
@@ -222,10 +219,10 @@ class TestDirichletScheme:
                 + (g[j - 2] + 2 * g[j - 1] - 6 * g[j] + 2 * g[j + 1] + g[j + 2]) / (6 * dx ** 2)
         rhs[-1] = (f[n - 2] + 39 * f[n - 1] - 21 * f[n] - 19 * f[n + 1]) / (60 * dx) \
             + (g[n - 2] + 2 * g[n - 1] - 7 * g[n] + 4 * g[n + 1]) / (5 * dx ** 2)
-        q_ref = q + ctx.dt * rhs
+        q_ref = q + dt * rhs
         assert np.abs(q1 - q_ref).max() <= 1e-13
         # recovery: corner tridiagonal, then interior (1,4,1)/6 solve
-        left, right = prob.left_value(ctx.dt), prob.right_value(ctx.dt)
+        left, right = prob.left_value(dt), prob.right_value(dt)
         w = q_ref.copy()
         w[0] = (10 * w[0] + left) / 11
         w[-1] = (10 * w[-1] + right) / 11
@@ -261,16 +258,15 @@ class TestDirichletScheme:
                         diffusion=prob.diffusion, max_aprime=0.01,
                         left_value=lambda t: 1.7, right_value=lambda t: 0.5)
         n = 10
-        ctx = StepContext.create(1.0 / (n + 1), 1e-5, 4)
+        scheme = DirichletConvDiffScheme(bad, StepContext.create(1.0 / (n + 1), 4))
         with pytest.raises(ValueError, match="outside bounds"):
-            dirichlet_convdiff_step(np.full(n + 2, 0.5), ctx, bad)
+            scheme.euler_step(np.full(n + 2, 0.5), 1e-5)
 
     def test_cfl_constants(self):
         prob = builtin("dirichlet-convdiff")
         n = 30
         dx = prob.length / (n + 1)
-        ctx = StepContext.create(dx, 1.0, 4)
-        scheme = DirichletConvDiffScheme(prob, ctx, n=n)
+        scheme = DirichletConvDiffScheme(prob, StepContext.create(dx, 4), n=n)
         expect = min((4 / 19) * dx / 1.0, (695 / 1596) * dx ** 2 / 0.01)
         assert scheme.admissible_dt_fe() == pytest.approx(expect, rel=1e-14)
 
@@ -279,12 +275,11 @@ class TestDirichletScheme:
         n = 30
         dx = prob.length / (n + 1)
         dt = 0.1648 * min((4 / 19) * dx, (695 / 1596) * dx ** 2 / 0.01)
-        ctx = StepContext.create(dx, dt, 4)
-        scheme = DirichletConvDiffScheme(prob, ctx, n=n, bp_limit=True)
-        u = prob.initial(scheme.x)
+        scheme = DirichletConvDiffScheme(prob, StepContext.create(dx, 4), n=n, bp_limit=True)
+        u = prob.initial(scheme.grid()[0])
         t = 0.0
         for _ in range(50):
-            u, _, _ = scheme.euler_step(u, t)
+            u, _, _ = scheme.euler_step(u, dt, t)
             t += dt
             assert u.min() >= -1 - 1e-12
             assert u.max() <= 1 + 1e-12

@@ -7,9 +7,10 @@ import io
 from dataclasses import replace
 
 from compactbp.cli import main, parse_config_file
-from compactbp.harness import (RunConfig, _meta_lines, _write_single_csv,
-                               error_norms, format_study_table, observed_order,
-                               run_convergence_study, run_level, run_single)
+from compactbp.harness import (ConfigError, RunConfig, _meta_lines, _write_single_csv,
+                               build_scheme, error_norms, format_study_table,
+                               observed_order, run_convergence_study, run_level,
+                               run_single)
 from compactbp.schemes2d import Problem2D
 
 
@@ -47,6 +48,29 @@ class TestRunConfig:
             RunConfig(problem="linadv-sin4", tvb=5.0, order=8)
         with pytest.raises(ValueError):
             RunConfig(problem="linadv-sin4", integrator="rk9")
+
+    @pytest.mark.parametrize("problem", ["linadv-sin4", "2d-linadv", "inflow-burgers",
+                                         "dirichlet-convdiff"])
+    def test_dt_cap_applies_on_every_problem(self, problem):
+        cfg = RunConfig(problem=problem, n=40, T=0.01, integrator="fe", dt_cap=1e-5)
+        _, _, dt = build_scheme(cfg, cfg.n)
+        assert dt <= 1e-5
+
+    @pytest.mark.parametrize("problem", ["2d-linadv", "dirichlet-convdiff",
+                                         "inflow-burgers", "pme-1d"])
+    def test_dx2_scale_rejected_where_it_changes_nothing(self, problem):
+        with pytest.raises(ValueError, match="dx2"):
+            RunConfig(problem=problem, dt_scale="dx2")
+
+    def test_tvb_rejected_on_2d_problems(self):
+        with pytest.raises(ValueError, match="periodic 1D"):
+            RunConfig(problem="2d-linadv", tvb=5.0)
+
+    @pytest.mark.parametrize("p", [-1.0, float("nan")])
+    def test_negative_tvb_threshold_rejected(self, p):
+        cfg = RunConfig(problem="linadv-step", n=20, T=0.01, tvb=p)
+        with pytest.raises(ConfigError, match="TVB threshold"):
+            build_scheme(cfg, cfg.n)
 
     def test_config_file_roundtrip(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -129,7 +153,7 @@ def per_row_csv(config, result) -> bytes:
                     row += f",{exact[i, j]:.16e}"
                 buf.write(row + "\r\n")
     else:
-        x = scheme.x
+        (x,) = scheme.grid()
         buf.write("x,u" + (",u_exact" if exact is not None else "") + "\r\n")
         for i in range(state.size):
             row = f"{x[i]:.16e},{state[i]:.16e}"
@@ -243,6 +267,38 @@ class TestCli:
                      "--integrator", "ms4", "--N", "10", "--T", "0.05",
                      "--dt-scale", "dx2"])
         assert code == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--problem", "dirichlet-convdiff", "--N", "2", "--T", "0.01"],
+         "dirichlet-convdiff needs N >= 3"),
+        (["solve", "--problem", "linadv-step", "--N", "20", "--tvb", "-1"],
+         "TVB threshold p must be nonnegative"),
+        (["solve", "--problem", "2d-linadv", "--dt-scale", "dx2"], "dx2"),
+        (["study", "--problem", "linadv-sin4", "--refine", "2,40", "--T", "0.05"],
+         "failed at N=2: linadv-sin4 needs N >= 3"),
+    ])
+    def test_bad_input_is_one_line_on_stderr(self, capsys, argv, message):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and message in out.err
+        assert "Traceback" not in out.err
+
+    def test_errors_while_stepping_keep_their_traceback(self, monkeypatch):
+        import compactbp.harness as harness
+
+        def failing_step(*args, **kwargs):
+            raise ValueError("raised while stepping")
+
+        monkeypatch.setattr(harness, "integrate_to", failing_step)
+        with pytest.raises(ValueError, match="raised while stepping"):
+            main(["solve", "--problem", "linadv-sin4", "--N", "10", "--T", "0.01"])
+
+    def test_unknown_problem_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem = nope\nN = 10\n")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: unknown problem 'nope'\n"
 
     def test_bare_tvb_flag_defaults_to_five(self, capsys):
         code = main(["solve", "--problem", "linadv-step", "--N", "24",

@@ -200,7 +200,7 @@ class TestMatchesOracle:
     @pytest.mark.parametrize("problem, order", [("2d-pme-m3", "xy"), ("2d-convdiff", "yx")])
     def test_2d_recovery(self, problem, order):
         prob = builtin(problem)
-        scheme = PeriodicScheme2D(prob, StepContext2D(0.1, 0.1, 1e-4), sweep_order=order)
+        scheme = PeriodicScheme2D(prob, StepContext2D(0.1, 0.1), sweep_order=order)
         rng = np.random.default_rng(17)
         q = rng.uniform(prob.bounds.lower, prob.bounds.upper, (20, 24))
         want = q
@@ -218,7 +218,7 @@ def convection_scheme(bounds=UNIT, **kw):
     prob = Problem2D(name="unit-adv", x_lo=0.0, x_hi=1.0, y_lo=0.0, y_hi=1.0,
                      bounds=bounds, initial=lambda x, y: 0.5 + 0 * x,
                      flux_x=lambda u: u, max_fprime=1.0)
-    return PeriodicScheme2D(prob, StepContext2D(0.1, 0.1, 1e-3), **kw)
+    return PeriodicScheme2D(prob, StepContext2D(0.1, 0.1), **kw)
 
 
 class TestReports2D:

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from compactbp.limiters import (
     Bounds, WeakMonotonicityError, cascade_limit,
     classify_sets, limit_bounds, limit_bounds_segment, limit_lower,
-    modified_minmod, tvb_euler_step, tvb_flux,
+    _minmod_rows, tvb_euler_step, tvb_flux,
 )
 from compactbp.operators import WeightOperator, apply_weighting, solve_weighting
 from compactbp.problems import builtin
@@ -315,6 +315,23 @@ class TestSegmentVariants:
         assert v.sum() == pytest.approx(u.sum(), abs=1e-13)
 
 
+def modified_minmod(args, p, dx):
+    """Scalar modified minmod of three arguments through the vectorised form."""
+    return float(_minmod_rows(*(np.array([a]) for a in args), p, dx)[0])
+
+
+def scalar_minmod(args, p, dx):
+    """Per-interface reference: ``args[0]`` below ``p dx^2``, else the
+    common-sign minimum magnitude, or 0 on sign disagreement."""
+    a1 = float(args[0])
+    if abs(a1) <= p * dx * dx:
+        return a1
+    signs = np.sign(args)
+    if signs[0] == 0 or not np.all(signs == signs[0]):
+        return 0.0
+    return float(signs[0] * np.min(np.abs(args)))
+
+
 class TestModifiedMinmod:
     def test_common_sign_minimum(self):
         assert modified_minmod([0.5, 1.0, 2.0], 5.0, 0.01) == 0.5
@@ -325,12 +342,6 @@ class TestModifiedMinmod:
     def test_threshold_branch(self):
         # |a1| <= p dx^2 returns a1 regardless of the rest
         assert modified_minmod([3e-4, -1.0, 2.0], 5.0, 0.01) == 3e-4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            modified_minmod([], 5.0, 0.01)
-        with pytest.raises(ValueError):
-            modified_minmod([1.0], -1.0, 0.01)
 
 
 class TestTvbEulerStep:
@@ -380,7 +391,7 @@ class TestTvbEulerStep:
         ubar = apply_weighting(self.w, u)
         dx = 0.05
         fhat = tvb_flux(u, ubar, self.problem, dx, 5.0)
-        # recompute one interface with the scalar modified minmod
+        # recompute one interface with a scalar modified minmod
         speed = self.problem.max_fprime
         fp = lambda w: 0.5 * (self.problem.flux(w) + speed * w)
         fm = lambda w: 0.5 * (self.problem.flux(w) - speed * w)
@@ -389,8 +400,8 @@ class TestTvbEulerStep:
         fpb, fmb = fp(ubar), fm(ubar)
         dfp = 0.5 * (fp(u)[i] + fp(u)[(i + 1) % 32]) - fpb[i]
         dfm = fmb[(i + 1) % 32] - 0.5 * (fm(u)[i] + fm(u)[(i + 1) % 32])
-        dfp_l = modified_minmod([dfp, dplus(fpb, i), dplus(fpb, i - 1)], 5.0, dx)
-        dfm_l = modified_minmod([dfm, dplus(fmb, i), dplus(fmb, (i + 1) % 32)], 5.0, dx)
+        dfp_l = scalar_minmod([dfp, dplus(fpb, i), dplus(fpb, i - 1)], 5.0, dx)
+        dfm_l = scalar_minmod([dfm, dplus(fmb, i), dplus(fmb, (i + 1) % 32)], 5.0, dx)
         expected = fpb[i] + dfp_l + fmb[(i + 1) % 32] - dfm_l
         assert fhat[i] == pytest.approx(expected, abs=1e-15)
 

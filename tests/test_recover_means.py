@@ -45,7 +45,7 @@ def test_periodic_1d(order, side):
     prob = builtin("linadv-sin4")
     n = 32
     dx = prob.length / n
-    scheme = PeriodicScheme1D(prob, StepContext.create(dx, 0.1 * dx, order), n=n)
+    scheme = PeriodicScheme1D(prob, StepContext.create(dx, order), n=n)
     _check(scheme, scheme.means(scheme.initial_state()[0]), 11, side)
 
 
@@ -56,7 +56,7 @@ def test_periodic_2d(problem, sweep_order, side):
     prob = builtin(problem)
     nx, ny = 12, 10
     dx, dy = (prob.x_hi - prob.x_lo) / nx, (prob.y_hi - prob.y_lo) / ny
-    scheme = PeriodicScheme2D(prob, StepContext2D(dx, dy, 1e-5), nx=nx, ny=ny,
+    scheme = PeriodicScheme2D(prob, StepContext2D(dx, dy), nx=nx, ny=ny,
                               sweep_order=sweep_order)
     _check(scheme, scheme.means(scheme.initial_state()[0]), (7, 3), side)
 
@@ -69,7 +69,7 @@ def test_inflow_outflow(index, side):
     prob = builtin("inflow-burgers")
     n = 24
     dx = prob.length / (n + 1)
-    scheme = InflowOutflowScheme(prob, StepContext.create(dx, 0.1 * dx, 4), n=n)
+    scheme = InflowOutflowScheme(prob, StepContext.create(dx, 4), n=n)
     _check(scheme, scheme.means(scheme.initial_state()[0]), index, side)
 
 
@@ -81,7 +81,7 @@ def test_dirichlet(index, side):
     prob = builtin("dirichlet-convdiff")
     n = 24
     dx = prob.length / (n + 1)
-    scheme = DirichletConvDiffScheme(prob, StepContext.create(dx, 0.01 * dx * dx, 4), n=n)
+    scheme = DirichletConvDiffScheme(prob, StepContext.create(dx, 4), n=n)
     _check(scheme, scheme.means(scheme.initial_state()[0]), index, side)
 
 

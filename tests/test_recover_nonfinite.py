@@ -2,8 +2,11 @@
 
 The tridiagonal solves run on LAPACK, which has no finite check, so the
 solve path checks its right-hand side itself and names the first bad index
-in the caller's layout (the index of the means passed to ``recover``).
+in the caller's layout (the index of the means passed to ``recover``).  A
+non-finite boundary value fails naming the boundary.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +37,7 @@ def test_periodic_1d(order, bad, limiting):
     prob = builtin("linadv-sin4")
     n = 32
     dx = prob.length / n
-    scheme = PeriodicScheme1D(prob, StepContext.create(dx, 0.1 * dx, order), n=n)
+    scheme = PeriodicScheme1D(prob, StepContext.create(dx, order), n=n)
     q = scheme.means(scheme.initial_state()[0])
     with pytest.raises(ValueError, match=_expect(11)):
         scheme.recover(_with_bad(q, 11, bad), 0.0, limiting)
@@ -49,7 +52,7 @@ def test_periodic_2d(problem, sweep_order, bad, limiting):
     prob = builtin(problem)
     nx, ny = 12, 10
     dx, dy = (prob.x_hi - prob.x_lo) / nx, (prob.y_hi - prob.y_lo) / ny
-    scheme = PeriodicScheme2D(prob, StepContext2D(dx, dy, 1e-5), nx=nx, ny=ny,
+    scheme = PeriodicScheme2D(prob, StepContext2D(dx, dy), nx=nx, ny=ny,
                               sweep_order=sweep_order)
     q = scheme.means(scheme.initial_state()[0])
     q = _with_bad(q, (7, 3), bad)
@@ -65,7 +68,7 @@ def test_inflow_outflow(index, bad, limiting):
     prob = builtin("inflow-burgers")
     n = 24
     dx = prob.length / (n + 1)
-    scheme = InflowOutflowScheme(prob, StepContext.create(dx, 0.1 * dx, 4), n=n)
+    scheme = InflowOutflowScheme(prob, StepContext.create(dx, 4), n=n)
     q = scheme.means(scheme.initial_state()[0])
     with pytest.raises(ValueError, match=_expect(index)):
         scheme.recover(_with_bad(q, index, bad), 0.0, limiting)
@@ -78,7 +81,22 @@ def test_dirichlet(index, bad, limiting):
     prob = builtin("dirichlet-convdiff")
     n = 24
     dx = prob.length / (n + 1)
-    scheme = DirichletConvDiffScheme(prob, StepContext.create(dx, 0.01 * dx * dx, 4), n=n)
+    scheme = DirichletConvDiffScheme(prob, StepContext.create(dx, 4), n=n)
     q = scheme.means(scheme.initial_state()[0])
     with pytest.raises(ValueError, match=_expect(index)):
         scheme.recover(_with_bad(q, index, bad), 0.0, limiting)
+
+
+@pytest.mark.parametrize("limiting", [False, True])
+@pytest.mark.parametrize("problem, cls, what", [
+    ("inflow-burgers", InflowOutflowScheme, "inflow"),
+    ("dirichlet-convdiff", DirichletConvDiffScheme, "left boundary"),
+])
+def test_nan_boundary_value(problem, cls, what, limiting):
+    # NaN compares false against both bounds, so a range test alone lets it in
+    prob = replace(builtin(problem), left_value=lambda t: float("nan"))
+    n = 24
+    scheme = cls(prob, StepContext.create(prob.length / (n + 1), 4), n=n)
+    q = scheme.means(scheme.initial_state()[0])
+    with pytest.raises(ValueError, match=f"{what} value nan outside bounds"):
+        scheme.recover(q, 0.0, limiting)

@@ -10,8 +10,7 @@ from compactbp.limiters import Bounds
 from compactbp.operators import (first_derivative_coefficients,
                                  second_derivative_coefficients)
 from compactbp.schemes1d import (CflError, PeriodicScheme1D, Problem1D,
-                                 StepContext, euler_step_convection,
-                                 euler_step_convdiff, max_stable_dt)
+                                 StepContext, max_stable_dt)
 
 C_MS = 0.1648
 
@@ -32,18 +31,20 @@ def linear_advection(lo=0.0, hi=1.0):
 
 class TestEulerConvection:
     def test_constant_state(self):
-        ctx = StepContext.create(0.5, 0.1, 4)
+        scheme = PeriodicScheme1D(linear_advection(), StepContext.create(0.5, 4),
+                                  bp_limit=False)
         u = np.full(8, 0.7)
-        u_new, q, rep = euler_step_convection(u, ctx, linear_advection(), bp_limit=False)
+        u_new, q, rep = scheme.euler_step(u, 0.1)
         assert_allclose(u_new, u, atol=1e-14)
         assert_allclose(q, u, atol=1e-14)
 
     def test_unit_impulse_oracle(self):
         # direct arithmetic from the forward-Euler mean update at lam = 1/3:
         # means = (u_{i-1}+4u_i+u_{i+1})/6 - (u_{i+1}-u_{i-1})/6
-        ctx = StepContext.create(1.0, 1.0 / 3.0, 4)
+        scheme = PeriodicScheme1D(linear_advection(), StepContext.create(1.0, 4),
+                                  bp_limit=False)
         u = np.array([0.0, 1.0, 0.0, 0.0])
-        _, q, _ = euler_step_convection(u, ctx, linear_advection(), bp_limit=False)
+        _, q, _ = scheme.euler_step(u, 1.0 / 3.0)
         assert_allclose(q, [0.0, 2 / 3, 1 / 3, 0.0], atol=1e-15)
         assert q.sum() == pytest.approx(u.sum(), abs=1e-14)
 
@@ -51,11 +52,11 @@ class TestEulerConvection:
         rng = np.random.default_rng(21)
         prob = linear_advection()
         n = 16
-        ctx = StepContext.create(1.0, 1.0 / 3.0, 4)
-        scheme = PeriodicScheme1D(prob, ctx, bp_limit=False)
+        dt = 1.0 / 3.0
+        scheme = PeriodicScheme1D(prob, StepContext.create(1.0, 4), bp_limit=False)
         for _ in range(1000):
             u = rng.uniform(0.0, 1.0, n)
-            q = scheme.means(u) + ctx.dt * scheme.rhs_means(u)
+            q = scheme.means(u) + dt * scheme.rhs_means(u)
             assert q.min() >= -1e-13
             assert q.max() <= 1 + 1e-13
 
@@ -63,27 +64,20 @@ class TestEulerConvection:
         # every 5-point state on the 5-value lattice in [0, 1], at the
         # critical step lam = 1/3
         prob = linear_advection()
-        ctx = StepContext.create(1.0, 1.0 / 3.0, 4)
-        scheme = PeriodicScheme1D(prob, ctx, bp_limit=False)
+        dt = 1.0 / 3.0
+        scheme = PeriodicScheme1D(prob, StepContext.create(1.0, 4), bp_limit=False)
         lattice = np.linspace(0.0, 1.0, 5)
         for combo in itertools.product(range(5), repeat=5):
             u = lattice[list(combo)]
-            q = scheme.means(u) + ctx.dt * scheme.rhs_means(u)
+            q = scheme.means(u) + dt * scheme.rhs_means(u)
             assert q.min() >= -1e-13
             assert q.max() <= 1 + 1e-13
 
     def test_cfl_error_carries_admissible_dt(self):
-        ctx = StepContext.create(1.0, 0.4, 4)
+        scheme = PeriodicScheme1D(linear_advection(), StepContext.create(1.0, 4))
         with pytest.raises(CflError) as err:
-            euler_step_convection(np.zeros(8), ctx, linear_advection())
+            scheme.euler_step(np.zeros(8), 0.4)
         assert err.value.admissible == pytest.approx(1 / 3, rel=1e-12)
-
-    def test_diffusion_term_rejected(self):
-        prob = Problem1D(name="d", x_lo=0, x_hi=1, bounds=Bounds(0, 1),
-                         initial=lambda x: 0 * x, flux=lambda u: u, max_fprime=1.0,
-                         diffusion=lambda u: u, max_aprime=1.0)
-        with pytest.raises(ValueError, match="euler_step_convdiff"):
-            euler_step_convection(np.zeros(8), StepContext.create(1, 0.01, 4), prob)
 
 
 class TestEulerConvDiff:
@@ -101,11 +95,11 @@ class TestEulerConvDiff:
         n = 16
         x = 2 * np.pi * np.arange(1, n + 1) / n
         u = np.sin(x)
-        ctx = StepContext.create(2 * np.pi / n, 1e-3, 4)
-        _, q_cd, _ = euler_step_convdiff(u, ctx, prob0, bp_limit=False)
+        ctx, dt = StepContext.create(2 * np.pi / n, 4), 1e-3
+        _, q_cd, _ = PeriodicScheme1D(prob0, ctx, bp_limit=False).euler_step(u, dt)
         conv = linear_advection(-1.0, 1.0)
         scheme = PeriodicScheme1D(conv, ctx, bp_limit=False)
-        q_conv = scheme.means(u) + ctx.dt * scheme.rhs_means(u)
+        q_conv = scheme.means(u) + dt * scheme.rhs_means(u)
         # convdiff means carry the extra c=10 weighting level
         from compactbp.operators import WeightOperator, apply_weighting
         assert_allclose(q_cd, apply_weighting(WeightOperator(10.0), q_conv), atol=1e-14)
@@ -119,9 +113,9 @@ class TestEulerConvDiff:
     def test_heat_constant(self):
         prob = Problem1D(name="heat", x_lo=0, x_hi=1, bounds=Bounds(0, 1),
                          initial=lambda x: 0 * x, diffusion=lambda u: u, max_aprime=1.0)
-        ctx = StepContext.create(0.1, 1e-3, 4)
+        scheme = PeriodicScheme1D(prob, StepContext.create(0.1, 4), bp_limit=False)
         u = np.full(12, 0.5)
-        u_new, q, _ = euler_step_convdiff(u, ctx, prob, bp_limit=False)
+        u_new, q, _ = scheme.euler_step(u, 1e-3)
         assert_allclose(u_new, u, atol=1e-14)
 
     def test_dense_matrix_oracle(self):
@@ -131,15 +125,16 @@ class TestEulerConvDiff:
         dx = 2 * np.pi / n
         dt = max_stable_dt(prob, dx, first_derivative_coefficients(4),
                            second_derivative_coefficients(4), "convdiff")
-        ctx = StepContext.create(dx, dt, 4)
+        scheme = PeriodicScheme1D(prob, StepContext.create(dx, 4), bp_limit=False)
         u0 = np.sin(x)
-        u1, q1, _ = euler_step_convdiff(u0, ctx, prob, bp_limit=False)
+        u1, q1, _ = scheme.euler_step(u0, dt)
         W1 = circulant([1 / 6, 4 / 6, 1 / 6], n, [-1, 0, 1])
         W2 = circulant([1 / 12, 10 / 12, 1 / 12], n, [-1, 0, 1])
         Dx = circulant([-0.5, 0, 0.5], n, [-1, 0, 1])
         Dxx = circulant([1.0, -2.0, 1.0], n, [-1, 0, 1])
-        dense = (u0 - ctx.lam * np.linalg.solve(W1, Dx @ u0)
-                 + ctx.mu * np.linalg.solve(W2, Dxx @ (0.001 * u0)))
+        lam, mu = dt / dx, dt / dx ** 2
+        dense = (u0 - lam * np.linalg.solve(W1, Dx @ u0)
+                 + mu * np.linalg.solve(W2, Dxx @ (0.001 * u0)))
         assert np.abs(u1 - dense).max() <= 1e-14
         assert np.abs(q1 - W2 @ (W1 @ dense)).max() <= 1e-13
 
@@ -150,15 +145,17 @@ class TestEulerConvDiff:
         n = 24
         x = 2 * np.pi * np.arange(1, n + 1) / n
         dx = 2 * np.pi / n
-        ctx = StepContext.create(dx, 1e-4, 4)
+        dt = 1e-4
+        scheme = PeriodicScheme1D(prob, StepContext.create(dx, 4), bp_limit=False)
         u0 = 0.3 + 0.5 * np.sin(x) ** 2
-        _, q, _ = euler_step_convdiff(u0, ctx, prob, bp_limit=False)
+        _, q, _ = scheme.euler_step(u0, dt)
         W1 = circulant([1 / 6, 4 / 6, 1 / 6], n, [-1, 0, 1])
         W2 = circulant([1 / 12, 10 / 12, 1 / 12], n, [-1, 0, 1])
         Dx = circulant([-0.5, 0, 0.5], n, [-1, 0, 1])
         Dxx = circulant([1.0, -2.0, 1.0], n, [-1, 0, 1])
-        split = (0.5 * W2 @ (W1 @ u0 - 2 * ctx.lam * (Dx @ u0))
-                 + 0.5 * W1 @ (W2 @ u0 + 2 * ctx.mu * (Dxx @ (0.001 * u0))))
+        lam, mu = dt / dx, dt / dx ** 2
+        split = (0.5 * W2 @ (W1 @ u0 - 2 * lam * (Dx @ u0))
+                 + 0.5 * W1 @ (W2 @ u0 + 2 * mu * (Dxx @ (0.001 * u0))))
         assert np.abs(q - split).max() <= 1e-13
 
     def test_per_step_conservation(self):
@@ -168,10 +165,10 @@ class TestEulerConvDiff:
         dx = 2 * np.pi / n
         dt = max_stable_dt(prob, dx, first_derivative_coefficients(4),
                            second_derivative_coefficients(4), "convdiff")
-        ctx = StepContext.create(dx, dt, 4)
+        scheme = PeriodicScheme1D(prob, StepContext.create(dx, 4), bp_limit=True)
         u = np.sin(x)
         for _ in range(20):
-            u, q, _ = euler_step_convdiff(u, ctx, prob, bp_limit=True)
+            u, q, _ = scheme.euler_step(u, dt)
             assert q.sum() == pytest.approx(np.sin(x).sum(), abs=1e-12 * n)
 
 

@@ -9,9 +9,7 @@ from compactbp.operators import WeightOperator, apply_weighting
 from compactbp.problems import builtin
 from compactbp.schemes1d import CflError, PeriodicScheme1D, Problem1D, StepContext
 from compactbp.schemes2d import (PeriodicScheme2D, Problem2D, StepContext2D,
-                                 _dx_central, _dxx_central,
-                                 euler_step_2d_convection,
-                                 euler_step_2d_convdiff, max_stable_dt_2d)
+                                 _dx_central, _dxx_central, max_stable_dt_2d)
 
 
 def circulant(row, n, offsets):
@@ -34,9 +32,9 @@ class TestConvection2D:
 
     def test_constant_state(self):
         prob = self._problem()
-        ctx = StepContext2D(0.3, 0.3, 1e-3)
+        scheme = PeriodicScheme2D(prob, StepContext2D(0.3, 0.3), bp_limit=False)
         u = np.full((8, 8), 0.75)
-        u_new, q, _ = euler_step_2d_convection(u, ctx, prob, bp_limit=False)
+        u_new, q, _ = scheme.euler_step(u, 1e-3)
         assert_allclose(u_new, u, atol=1e-14)
         assert_allclose(q, u, atol=1e-14)
 
@@ -51,12 +49,12 @@ class TestConvection2D:
         (xx, yy), dx = grid(n)
         u0 = 1 + np.sin(xx)
         dt = 1e-3
-        ctx = StepContext2D(dx, dx, dt)
-        u2, q2, _ = euler_step_2d_convection(u0, ctx, prob2d, bp_limit=False)
+        scheme2d = PeriodicScheme2D(prob2d, StepContext2D(dx, dx), bp_limit=False)
+        u2, q2, _ = scheme2d.euler_step(u0, dt)
         prob1d = Problem1D(name="1d", x_lo=0, x_hi=2 * np.pi, bounds=Bounds(0.0, 2.0),
                            initial=lambda x: 1 + np.sin(x),
                            flux=lambda u: u, max_fprime=1.0)
-        scheme1d = PeriodicScheme1D(prob1d, StepContext.create(dx, dt, 4),
+        scheme1d = PeriodicScheme1D(prob1d, StepContext.create(dx, 4),
                                     bp_limit=False)
         line = u0[:, 0]
         q1 = scheme1d.means(line) + dt * scheme1d.rhs_means(line)
@@ -69,8 +67,7 @@ class TestConvection2D:
         n = 12
         _, dx = grid(n)
         dt = max_stable_dt_2d(prob, dx, dx)  # CFL-tight forward Euler step
-        ctx = StepContext2D(dx, dx, dt)
-        scheme = PeriodicScheme2D(prob, ctx, bp_limit=False)
+        scheme = PeriodicScheme2D(prob, StepContext2D(dx, dx), bp_limit=False)
         rng = np.random.default_rng(31)
         for _ in range(300):
             u = rng.uniform(0.0, 1.0, (n, n))
@@ -83,16 +80,16 @@ class TestConvection2D:
         dx = 0.1
         dt = 1.1 * max_stable_dt_2d(prob, dx, dx)
         with pytest.raises(CflError):
-            euler_step_2d_convection(np.full((8, 8), 0.6),
-                                     StepContext2D(dx, dx, dt), prob)
+            PeriodicScheme2D(prob, StepContext2D(dx, dx)).euler_step(
+                np.full((8, 8), 0.6), dt)
 
 
 class TestConvDiff2D:
     def test_pure_diffusion_constant(self):
         prob = builtin("2d-pme-m3")
-        ctx = StepContext2D(0.25, 0.25, 1e-4)
+        scheme = PeriodicScheme2D(prob, StepContext2D(0.25, 0.25), bp_limit=False)
         u = np.full((10, 10), 0.5)
-        u_new, q, _ = euler_step_2d_convdiff(u, ctx, prob, bp_limit=False)
+        u_new, q, _ = scheme.euler_step(u, 1e-4)
         assert_allclose(u_new, u, atol=1e-13)
 
     def test_dense_operator_oracle(self):
@@ -100,9 +97,9 @@ class TestConvDiff2D:
         n = 12
         (xx, yy), dx = grid(n)
         u0 = np.sin(xx) * np.sin(yy)
-        ctx = StepContext2D(dx, dx, 1e-4)
-        scheme = PeriodicScheme2D(prob, ctx, bp_limit=False)
-        u1, q1, _ = scheme.euler_step(u0)
+        dt = 1e-4
+        scheme = PeriodicScheme2D(prob, StepContext2D(dx, dx), bp_limit=False)
+        u1, q1, _ = scheme.euler_step(u0, dt)
         W1 = circulant([1 / 6, 4 / 6, 1 / 6], n, [-1, 0, 1])
         W2 = circulant([1 / 12, 10 / 12, 1 / 12], n, [-1, 0, 1])
         Dx = circulant([-0.5, 0, 0.5], n, [-1, 0, 1])
@@ -110,7 +107,7 @@ class TestConvDiff2D:
         c, d = 1.0, 0.001
         f = c * u0
         a = d * u0
-        lam, mu = ctx.lam_x, ctx.mu_x
+        lam, mu = dt / dx, dt / dx ** 2
         dense = (u0 - lam * np.linalg.solve(W1, Dx @ f)
                  - lam * np.linalg.solve(W1, Dx @ f.T).T
                  + mu * np.linalg.solve(W2, Dxx @ a)
@@ -127,10 +124,9 @@ class TestConvDiff2D:
         n = 10
         (xx, yy), dx = grid(n)
         u0 = np.sin(xx) * np.cos(yy) * 0.5
-        ctx = StepContext2D(dx, dx, 1e-4)
-        scheme = PeriodicScheme2D(prob, ctx, bp_limit=False)
-        u1, _, _ = scheme.euler_step(u0)
-        u1t, _, _ = scheme.euler_step(u0.T.copy())
+        scheme = PeriodicScheme2D(prob, StepContext2D(dx, dx), bp_limit=False)
+        u1, _, _ = scheme.euler_step(u0, 1e-4)
+        u1t, _, _ = scheme.euler_step(u0.T.copy(), 1e-4)
         assert np.abs(u1t - u1.T).max() <= 1e-13
 
 
@@ -151,9 +147,9 @@ class TestStructure:
         rng = np.random.default_rng(35)
         u0 = np.clip(0.75 + 0.24 * rng.normal(size=(n, n)), 0.5, 1.0)
         for order in ("xy", "yx"):
-            scheme = PeriodicScheme2D(prob, StepContext2D(dx, dx, dt),
+            scheme = PeriodicScheme2D(prob, StepContext2D(dx, dx),
                                       bp_limit=True, sweep_order=order)
-            u, q, rep = scheme.euler_step(u0)
+            u, q, rep = scheme.euler_step(u0, dt)
             assert q.sum() == pytest.approx(scheme.means(u0).sum(), abs=1e-11)
             assert u.sum() == pytest.approx(q.sum(), abs=1e-11)
             assert u.min() >= 0.5 - 1e-13

@@ -7,7 +7,7 @@ from compactbp.schemes1d import CflError, PeriodicScheme1D, StepContext
 from compactbp.problems import builtin
 from compactbp.timeint import (MS4_ALPHA, MS4_BETA, MS4_STEPS, RK54_STAGES,
                                SSP_COEFF_MS4, SSP_COEFF_RK4, IntegratorSpec,
-                               OdeScheme, SspIntegrator, advance, integrate_to,
+                               OdeScheme, SspIntegrator, integrate_to,
                                rk54_stage_times)
 
 
@@ -126,7 +126,7 @@ class TestDriver:
         problem = builtin("linadv-sin4")
         dx = problem.length / n
         dt = 0.1648 * dx / 3
-        ctx = StepContext.create(dx, dt, 4)
+        ctx = StepContext.create(dx, 4)
         return PeriodicScheme1D(problem, ctx, n=n, bp_limit=bp), dt
 
     def test_single_step_when_T_equals_dt(self):
@@ -165,7 +165,7 @@ class TestDriver:
         # falls back to the Runge-Kutta priming step
         scheme, dt = self._scheme()
         u0, _ = scheme.initial_state()
-        out = advance(u0, scheme, dt, IntegratorSpec("ms4"))
+        out = SspIntegrator(scheme, IntegratorSpec("ms4"), dt).start(u0).advance()
         assert out.shape == u0.shape
         assert np.isfinite(out).all()
 
