@@ -8,13 +8,10 @@ losing accuracy or the global sum.
 """
 
 from .limiters import (Bounds, LimiterReport, RedistributionError,
-                       SetClassification, WeakMonotonicityError, cascade_limit,
-                       classify_sets, limit_bounds, limit_bounds_segment,
-                       limit_lower, tvb_euler_step)
+                       SetClassification, WeakMonotonicityError, classify_sets,
+                       limit_bounds, limit_bounds_segment)
 from .operators import (CoefficientDomainError, CoefficientSet, DiffStencil,
-                        WeightFactorization, WeightOperator, apply_weighting,
-                        compact_derivative, difference_stencil,
-                        factor_first_weighting, factor_second_weighting,
+                        WeightOperator, apply_weighting, difference_stencil,
                         first_derivative_coefficients, recovery_chain,
                         second_derivative_coefficients, solve_weighting)
 from .schemes1d import (CflError, PeriodicScheme1D, Problem1D, Scheme,
@@ -23,8 +20,8 @@ from .schemes2d import PeriodicScheme2D, Problem2D, StepContext2D, max_stable_dt
 from .boundary import (DirichletConvDiffScheme, InflowOutflowScheme,
                        outflow_extrapolate)
 from .problems import BUILTIN_IDS, barenblatt, builtin
-from .timeint import (METHODS, IntegratorSpec, OdeScheme, SSP_COEFF_MS4,
-                      SSP_COEFF_RK4, SspIntegrator, integrate_to)
+from .timeint import (METHODS, IntegratorSpec, SSP_COEFF_MS4, SSP_COEFF_RK4,
+                      SspIntegrator, integrate_to)
 from .harness import (ConfigError, ErrorRow, RunConfig, error_norms,
                       run_convergence_study, run_single)
 

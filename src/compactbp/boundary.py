@@ -99,10 +99,8 @@ class InflowOutflowScheme(Scheme):
         f = self.problem.flux(u)
         return -(f[2:] - f[:-2]) / (2.0 * self.ctx.dx)
 
-    def recover(self, q: np.ndarray, t: float,
-                limiting: bool | None = None) -> tuple[np.ndarray, LimiterReport]:
+    def recover(self, q: np.ndarray, t: float) -> tuple[np.ndarray, LimiterReport]:
         """Rebuild the full state from updated interior means at time t."""
-        limiting = self.bp_limit if limiting is None else limiting
         bounds = self.bounds
         u_left = _check_bc_value(self.problem.left_value(t), bounds, "inflow")
         u_right = outflow_extrapolate(q[-4:], bounds)
@@ -112,7 +110,7 @@ class InflowOutflowScheme(Scheme):
         rhs[-1] -= u_right / 6.0
         interior = solve_open_weighting(4.0, rhs)
         report = LimiterReport()
-        if limiting:
+        if self.bp_limit:
             # with the end values, (u_left + 4 x_0 + x_1)/6 = q_0: q are the means
             interior, report = limit_bounds_segment(
                 interior, bounds, 4.0, left=u_left, right=u_right, means=q)
@@ -226,9 +224,7 @@ class DirichletConvDiffScheme(Scheme):
             out = out + diff / self.ctx.dx ** 2
         return out
 
-    def recover(self, q: np.ndarray, t: float,
-                limiting: bool | None = None) -> tuple[np.ndarray, LimiterReport]:
-        limiting = self.bp_limit if limiting is None else limiting
+    def recover(self, q: np.ndarray, t: float) -> tuple[np.ndarray, LimiterReport]:
         bounds = self.bounds
         kappa = self.rows.corner_weight
         u_left = _check_bc_value(self.problem.left_value(t), bounds, "left boundary")
@@ -241,13 +237,13 @@ class DirichletConvDiffScheme(Scheme):
         # each solve's right-hand side (before the end data moves into it)
         # is the set of means the limiter checks
         report = LimiterReport()
-        if limiting:
+        if self.bp_limit:
             v, report = limit_bounds_segment(v, bounds, 10.0, edge_rows=True, means=w)
         rhs = v.copy()
         rhs[0] -= u_left / 6.0
         rhs[-1] -= u_right / 6.0
         interior = solve_open_weighting(4.0, rhs)
-        if limiting:
+        if self.bp_limit:
             interior, rep = limit_bounds_segment(interior, bounds, 4.0,
                                                  left=u_left, right=u_right, means=v)
             report = report.merge(rep)

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .harness import (ConfigError, RunConfig, format_study_table,
                       run_convergence_study, run_single)
 from .problems import BUILTIN_IDS
 
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
@@ -87,6 +89,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         for key, raw in parse_config_file(args.config).items():
             if key == "N":
                 key = "n"
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown key {key!r}")
             merged[key] = _coerce(key, raw)
     for key, value in vars(args).items():
         if key in ("config", "command"):

@@ -54,6 +54,11 @@ class RunConfig:
         IntegratorSpec(self.integrator)  # rejects an unknown method
         if self.dt_scale not in ("cfl", "dx2"):
             raise ValueError("dt_scale must be 'cfl' or 'dx2'")
+        if self.T is not None and not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"T must be positive and finite, got T = {self.T}")
+        for n in (self.n, *(self.refine or ())):
+            if n < 1:
+                raise ValueError(f"grid size must be at least 1, got N = {n}")
         if self.refine is not None:
             if list(self.refine) != sorted(set(self.refine)):
                 raise ValueError("refinement list must be strictly increasing")
@@ -64,13 +69,10 @@ class RunConfig:
         if self.dt_scale == "dx2" and not (periodic_1d and prob.has_convection):
             raise ValueError("dt_scale 'dx2' scales the convection step of "
                              "periodic 1D problems only")
-        if self.tvb is not None:
-            if prob.has_diffusion:
-                raise ValueError("the TVB limiter requires a convection-only problem")
-            if self.order != 4:
-                raise ValueError("the TVB limiter requires order 4")
-            if not periodic_1d:
-                raise ValueError("the TVB limiter requires a periodic 1D problem")
+        # only the periodic 1D scheme takes the TVB threshold (see _scheme),
+        # which checks the rest itself
+        if self.tvb is not None and not periodic_1d:
+            raise ValueError("the TVB limiter requires a periodic 1D problem")
 
 
 @dataclass

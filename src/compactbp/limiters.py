@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import WeightOperator, apply_weighting, apply_weighting_chain, solve_weighting
+from .operators import WeightOperator, apply_weighting, solve_weighting
 
 _TINY = 1e-14
 
@@ -49,29 +49,20 @@ class RedistributionError(ArithmeticError):
     """Conservative redistribution became infeasible (round-off pathology)."""
 
 
-def default_tolerance(lower: float, upper: float) -> float:
-    return 1e-12 * max(1.0, abs(lower), abs(upper))
-
-
 @dataclass(frozen=True)
 class Bounds:
-    """Invariant interval with an absolute slack for precondition checks."""
+    """Invariant interval; ``tol`` is the absolute slack of precondition checks."""
 
     lower: float
     upper: float
-    tolerance: float | None = None
 
     def __post_init__(self):
         if not self.lower < self.upper:
             raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
-        if self.tolerance is not None and self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
 
     @property
     def tol(self) -> float:
-        if self.tolerance is not None:
-            return self.tolerance
-        return default_tolerance(self.lower, self.upper)
+        return 1e-12 * max(1.0, abs(self.lower), abs(self.upper))
 
     @property
     def span(self):
@@ -104,17 +95,15 @@ class LimiterReport:
 
 @dataclass(frozen=True)
 class SetClassification:
-    """Partition of a periodic field into sawtooth and plain segments.
+    """The sawtooth sets of a periodic field.
 
     Each entry is a cyclic index range ``(start, length)`` inclusive of the
-    two in-range end points flanking the out-of-range run.  Sawtooth sets
-    contain both overshoot and undershoot interior points; the plain sets
-    cover the complement and share their end points with adjacent sawtooth
-    sets.  ``whole_circle`` is set only when no in-range point exists.
+    two in-range end points flanking an out-of-range run that contains
+    both overshoot and undershoot points.  ``whole_circle`` is set only
+    when no in-range point exists.
     """
 
     sawtooth_sets: tuple[tuple[int, int], ...]
-    plain_sets: tuple[tuple[int, int], ...]
     whole_circle: bool = False
 
 
@@ -143,7 +132,7 @@ def classify_sets(u: np.ndarray, bounds: Bounds) -> SetClassification:
     under = u < lo
     out = over | under
     if out.all():
-        return SetClassification(((0, n),), (), whole_circle=True)
+        return SetClassification(((0, n),), whole_circle=True)
     sawtooth = []
     for start, length in _cyclic_runs(out):
         idx = (start + np.arange(length)) % n
@@ -154,18 +143,7 @@ def classify_sets(u: np.ndarray, bounds: Bounds) -> SetClassification:
                 sawtooth.append(((start - 1) % n, n))
             else:
                 sawtooth.append(((start - 1) % n, length + 2))
-    if not sawtooth:
-        return SetClassification((), ((0, n),))
-    ordered = sorted(sawtooth)
-    plain = []
-    if not any(length >= n for _, length in ordered):
-        # plain segments run from each sawtooth right end to the next left end
-        for (s1, l1), (s2, _) in zip(ordered, ordered[1:] + ordered[:1]):
-            end = (s1 + l1 - 1) % n
-            length = (s2 - end) % n + 1
-            if length > 1 or len(ordered) == 1:
-                plain.append((end, length))
-    return SetClassification(tuple(ordered), tuple(plain))
+    return SetClassification(tuple(sorted(sawtooth)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,18 +366,6 @@ def _limit(u, bounds, c, axis, ends, means=None):
     return V.reshape(shape).swapaxes(0, axis), report
 
 
-def limit_lower(u: np.ndarray, lower: float, c: float,
-                tolerance: float | None = None) -> tuple[np.ndarray, LimiterReport]:
-    """Enforce ``v_i >= lower`` on periodic data without changing the sum.
-
-    Requires ``(u_{i-1} + c u_i + u_{i+1})/(c+2) >= lower`` (up to
-    tolerance) for every ``i`` with ``c >= 2``; only undershoot points and
-    their immediate neighbours are modified.
-    """
-    tol = tolerance if tolerance is not None else 1e-12 * max(1.0, abs(lower))
-    return _limit(u, Bounds(lower, np.inf, tol), c, 0, None)
-
-
 def limit_bounds(u: np.ndarray, bounds: Bounds, c: float, axis: int = 0,
                  means: np.ndarray | None = None) -> tuple[np.ndarray, LimiterReport]:
     """Enforce ``v_i in [lower, upper]`` on periodic data, conservatively.
@@ -448,27 +414,11 @@ def limit_bounds_segment(u: np.ndarray, bounds: Bounds, c: float, *,
 
 
 # ---------------------------------------------------------------------------
-# Cascade through factored weightings
+# Recovery through a chain of weightings
 # ---------------------------------------------------------------------------
 
-def _as_chain(chain) -> tuple[float, ...]:
-    """The c-values of a weighting chain, outermost first."""
-    cs = []
-    for entry in chain:
-        if isinstance(entry, (tuple, list)):
-            topology, c = entry
-            if topology != "periodic":
-                raise ValueError("cascade_limit supports periodic weightings only")
-            cs.append(float(c))
-        else:
-            cs.append(float(entry))
-    if not cs:
-        raise ValueError("empty weighting chain")
-    return tuple(cs)
-
-
-def recover_point_values(means: np.ndarray, chain, bounds: Bounds | None,
-                         limiting: bool = True) -> tuple[np.ndarray, LimiterReport]:
+def recover_point_values(means: np.ndarray, chain: tuple[float, ...], bounds: Bounds,
+                         limiting: bool) -> tuple[np.ndarray, LimiterReport]:
     """Invert a factored weighting level by level, limiting after each solve.
 
     ``means`` are the fully weighted means (product of all chain levels
@@ -476,6 +426,7 @@ def recover_point_values(means: np.ndarray, chain, bounds: Bounds | None,
     outermost first.  Each solve's right-hand side is the set of
     next-level weighted means of its solution, inside the bounds, so the
     three-point limiter applies at exactly that c and checks those means.
+    With ``limiting`` false the levels are only solved.
     """
     x = np.asarray(means, dtype=float)
     report = None
@@ -483,29 +434,10 @@ def recover_point_values(means: np.ndarray, chain, bounds: Bounds | None,
         weighting = WeightOperator(c)
         rhs = x
         x = solve_weighting(weighting, rhs)
-        if limiting and bounds is not None:
+        if limiting:
             x, rep = limit_bounds(x, bounds, weighting.c, means=rhs)
             report = rep if report is None else report.merge(rep)
     return x, LimiterReport() if report is None else report
-
-
-def cascade_limit(u: np.ndarray, bounds: Bounds, chain) -> tuple[np.ndarray, LimiterReport]:
-    """Limit point values whose composed weighted means are in bounds.
-
-    ``chain`` lists the factored weighting levels outermost first, e.g.
-    ``[("periodic", 10), ("periodic", 4)]`` for a doubly weighted
-    convection-diffusion recovery.  Equivalent to applying the inner
-    weightings, then solving and limiting level by level, so the final
-    point values are in bounds with the global sum preserved.
-    """
-    cs = _as_chain(chain)
-    inner = apply_weighting_chain(cs[1:], np.asarray(u, dtype=float))
-    # limiting at the outermost c first checks the composed means
-    x, report = limit_bounds(inner, bounds, cs[0])
-    if len(cs) > 1:
-        x, rest = recover_point_values(x, cs[1:], bounds)
-        report = report.merge(rest)
-    return x, report
 
 
 # ---------------------------------------------------------------------------
@@ -571,24 +503,3 @@ def flux_difference(fhat: np.ndarray) -> np.ndarray:
     """Periodic ``fhat_{i+1/2} - fhat_{i-1/2}`` of half-point fluxes ``fhat[i] ~ f_{i+1/2}``."""
     return fhat - _prev(fhat)
 
-
-def tvb_euler_step(u: np.ndarray, ubar: np.ndarray, problem, lam: float,
-                   p: float, bounds: Bounds, dx: float, *,
-                   enforce_cfl: bool = True) -> np.ndarray:
-    """One forward-Euler update of the weighted means with the TVB flux.
-
-    Under ``lam * max|f'| <= 1/12`` the updated means provably stay inside
-    the bounds; ``enforce_cfl=False`` skips that check for driver code
-    running at the plain convection CFL, where the downstream limiter
-    precondition acts as the safety net.
-    """
-    u = np.asarray(u, dtype=float)
-    ubar = np.asarray(ubar, dtype=float)
-    if u.shape != ubar.shape:
-        raise ValueError("point values and means must have equal length")
-    if enforce_cfl and lam * problem.max_fprime > 1.0 / 12.0 + 1e-12:
-        raise ValueError(
-            f"TVB bound preservation needs lam*max|f'| <= 1/12, got "
-            f"{lam * problem.max_fprime:.6g}")
-    fhat = tvb_flux(u, ubar, problem, dx, p)
-    return ubar - lam * flux_difference(fhat)

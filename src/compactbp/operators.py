@@ -2,9 +2,9 @@
 
 Provides the coefficient families for 4th/6th/8th-order implicit (Pade-type)
 approximations of first and second derivatives, the normalized tridiagonal
-weighting matrices ``(1, c, 1)/(c+2)`` they induce, factorizations of the
-pentadiagonal weightings into pairs of such tridiagonals with ``c >= 2``,
-and O(N) cyclic/open tridiagonal solvers for their inversion, which reuse
+weighting matrices ``(1, c, 1)/(c+2)`` they induce, the c-values of the
+tridiagonal factors (``c >= 2``) of the pentadiagonal weightings, and
+O(N) cyclic/open tridiagonal solvers for their inversion, which reuse
 LAPACK LU factors cached per grid size and weighting.
 
 All operators are immutable after construction and safe to share between
@@ -81,10 +81,6 @@ class CoefficientSet:
         """Normalization ``1 + 2*alpha + 2*beta`` of the weighting row."""
         return 1.0 + 2.0 * self.alpha + 2.0 * self.beta
 
-    @property
-    def is_pentadiagonal(self) -> bool:
-        return self.beta != 0.0
-
 
 def first_derivative_coefficients(accuracy_order: int,
                                   alpha1: float | None = None) -> CoefficientSet:
@@ -155,45 +151,25 @@ def second_derivative_coefficients(accuracy_order: int,
 # ---------------------------------------------------------------------------
 
 class WeightOperator:
-    """Normalized symmetric tridiagonal weighting ``(1, c, 1)/(c+2)``.
+    """Normalized symmetric periodic tridiagonal weighting ``(1, c, 1)/(c+2)``.
 
-    ``topology`` is ``"periodic"`` (square circulant, rows wrap) or
-    ``"dirichlet"`` (rectangular N x (N+2); the input carries two boundary
-    values, the output only interior rows).  ``c >= 2`` guarantees strict
-    diagonal dominance, so the periodic inverse exists and is computed by
-    non-pivoting elimination.
-
-    ``n`` optionally pins the operand size; when ``None`` any length is
-    accepted.
+    ``c >= 2`` guarantees strict diagonal dominance, so the circulant
+    inverse exists and is computed by non-pivoting elimination.
     """
 
-    __slots__ = ("c", "topology", "n")
+    __slots__ = ("c",)
 
-    def __init__(self, c: float, topology: str = "periodic", n: int | None = None):
+    def __init__(self, c: float):
         if c < 2.0:
             raise CoefficientDomainError(f"weighting requires c >= 2, got {c}")
-        if topology not in ("periodic", "dirichlet"):
-            raise ValueError(f"unknown topology {topology!r}")
         self.c = float(c)
-        self.topology = topology
-        self.n = n
 
     def __repr__(self):  # pragma: no cover
-        return f"WeightOperator(c={self.c}, topology={self.topology!r}, n={self.n})"
+        return f"WeightOperator(c={self.c})"
 
     def _check_size(self, u: np.ndarray, axis: int = 0):
-        size = u.shape[axis]
-        if self.topology == "periodic":
-            expect = self.n
-            if expect is not None and size != expect:
-                raise ValueError(f"expected field of length {expect}, got {size}")
-            if size < 3:
-                raise ValueError("periodic weighting needs at least 3 points")
-        else:
-            if self.n is not None and size != self.n + 2:
-                raise ValueError(f"expected field of length {self.n + 2}, got {size}")
-            if size < 3:
-                raise ValueError("rectangular weighting needs at least 3 points")
+        if u.shape[axis] < 3:
+            raise ValueError("periodic weighting needs at least 3 points")
 
 
 def _periodic_pad(v: np.ndarray, width: int) -> np.ndarray:
@@ -209,18 +185,14 @@ def _periodic_pad(v: np.ndarray, width: int) -> np.ndarray:
 def apply_weighting(w: WeightOperator, u: np.ndarray, axis: int = 0) -> np.ndarray:
     """Apply the weighting stencil exactly (no solve).
 
-    Periodic topology maps length-N fields to length-N weighted means and
-    preserves the mean; dirichlet topology maps N+2 values (including the
-    two boundary points) to N interior weighted means.  Both evaluate
-    ``(u_{i-1} + c u_i) + u_{i+1}``, then divide by ``c + 2``.
+    Maps length-N periodic fields to length-N weighted means and preserves
+    the mean; evaluates ``(u_{i-1} + c u_i) + u_{i+1}``, then divides by
+    ``c + 2``.
     """
     u = np.asarray(u, dtype=float)
     w._check_size(u, axis)
     c = w.c
-    v = u.swapaxes(0, axis)
-    if w.topology == "dirichlet":
-        return ((v[:-2] + c * v[1:-1] + v[2:]) / (c + 2.0)).swapaxes(0, axis)
-    ext = _periodic_pad(v, 1)
+    ext = _periodic_pad(u.swapaxes(0, axis), 1)
     out = c * u
     o = out.swapaxes(0, axis)
     # c u_i + u_{i-1} equals u_{i-1} + c u_i exactly (addition commutes)
@@ -301,8 +273,6 @@ def solve_weighting(w: WeightOperator, rhs: np.ndarray, axis: int = 0) -> np.nda
     ``||W x - rhs||_inf <= 1e-12 * ||rhs||_inf``.  Non-finite input
     raises ``ValueError``.
     """
-    if w.topology != "periodic":
-        raise ValueError("solve_weighting requires a periodic (square) weighting")
     rhs = np.asarray(rhs, dtype=float)
     w._check_size(rhs, axis)
     _check_finite(rhs)
@@ -343,94 +313,37 @@ def solve_open_weighting(c: float, rhs: np.ndarray, edge_rows: bool = False) -> 
     return _gttrs(_tridiag_workspace(rhs.shape[0], float(c), bool(edge_rows)), rhs)
 
 
-# ---------------------------------------------------------------------------
-# Factorization of pentadiagonal weightings
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeightFactorization:
-    """Two tridiagonal factors reproducing a pentadiagonal weighting.
-
-    ``first.c <= second.c`` and both are >= 2, so the three-point limiter
-    admissibility argument applies at each level of the factored solve.
-    """
-
-    first: WeightOperator
-    second: WeightOperator
-
-    @property
-    def chain(self) -> tuple[float, float]:
-        """c-values ordered for recovery: larger factor solved first."""
-        return (self.second.c, self.first.c)
-
-
-def factor_first_weighting(coeffs: CoefficientSet) -> WeightFactorization:
-    """Factor the first-derivative pentadiagonal weighting.
-
-    The two c-values are the roots of ``t^2 - (alpha/beta) t + (1/beta - 2)``,
-    evaluated from the closed forms rather than numerical root-finding.
-    """
-    if coeffs.derivative_order != 1:
-        raise CoefficientDomainError("expected first-derivative coefficients")
-    alpha = coeffs.alpha
-    if not (1.0 / 3.0 < alpha <= 5.0 / 9.0 + 1e-15):
-        raise CoefficientDomainError(
-            f"factorization requires alpha in (1/3, 5/9], got {alpha}")
-    base = 6.0 * alpha / (3.0 * alpha - 1.0)
-    root = math.sqrt(2.0 * (7.0 - 24.0 * alpha + 27.0 * alpha ** 2)) / (3.0 * alpha - 1.0)
-    return _make_factorization(base - root, base + root)
-
-
-def factor_second_weighting(coeffs: CoefficientSet) -> WeightFactorization:
-    """Factor the second-derivative pentadiagonal weighting."""
-    if coeffs.derivative_order != 2:
-        raise CoefficientDomainError("expected second-derivative coefficients")
-    alpha = coeffs.alpha
-    if not (2.0 / 11.0 < alpha <= 60.0 / 113.0 + 1e-15):
-        raise CoefficientDomainError(
-            f"factorization requires alpha in (2/11, 60/113], got {alpha}")
-    base = 62.0 * alpha / (11.0 * alpha - 2.0)
-    root = math.sqrt(2.0 * (128.0 - 726.0 * alpha + 2043.0 * alpha ** 2)) / (11.0 * alpha - 2.0)
-    return _make_factorization(base - root, base + root)
-
-
-def _make_factorization(c_small: float, c_big: float) -> WeightFactorization:
-    if min(c_small, c_big) < 2.0 - 1e-12:
-        raise CoefficientDomainError(
-            f"factorization produced c = {min(c_small, c_big)} < 2")
-    c_small = max(c_small, 2.0)  # guard round-off at the interval end
-    return WeightFactorization(WeightOperator(c_small), WeightOperator(c_big))
-
-
 def recovery_chain(coeffs: CoefficientSet) -> tuple[float, ...]:
     """c-values of the successive tridiagonal solves recovering point values.
 
-    Order 4 weightings are already tridiagonal (c = 4 or 10); higher orders
-    solve the larger-c factor first, then the smaller.
+    Order 4 weightings are already tridiagonal (c = 4 or 10).  A higher
+    order pentadiagonal weighting is the product of two tridiagonal ones;
+    their c-values are the roots of ``t^2 - (alpha/beta) t + (1/beta - 2)``,
+    evaluated from closed forms, and the larger-c factor is solved first.
+    Both are >= 2, so the three-point limiter applies at each level.
     """
     if coeffs.accuracy_order == 4:
         return (round(1.0 / coeffs.alpha),)
+    alpha = coeffs.alpha
     if coeffs.derivative_order == 1:
-        return factor_first_weighting(coeffs).chain
-    return factor_second_weighting(coeffs).chain
+        base = 6.0 * alpha / (3.0 * alpha - 1.0)
+        root = math.sqrt(2.0 * (7.0 - 24.0 * alpha + 27.0 * alpha ** 2)) / (3.0 * alpha - 1.0)
+    else:
+        base = 62.0 * alpha / (11.0 * alpha - 2.0)
+        root = math.sqrt(2.0 * (128.0 - 726.0 * alpha + 2043.0 * alpha ** 2)) / (11.0 * alpha - 2.0)
+    c_small, c_big = base - root, base + root
+    if min(c_small, c_big) < 2.0 - 1e-12:
+        raise CoefficientDomainError(
+            f"factorization produced c = {min(c_small, c_big)} < 2")
+    return (c_big, max(c_small, 2.0))  # guard round-off at the interval end
 
 
-def apply_weighting_chain(chain: tuple[float, ...], u: np.ndarray,
-                          axis: int = 0) -> np.ndarray:
+def apply_weighting_chain(chain: tuple[float, ...], u: np.ndarray) -> np.ndarray:
     """Apply the product of the chain's weightings (order irrelevant)."""
     out = np.asarray(u, dtype=float)
     for c in chain:
-        out = apply_weighting(WeightOperator(c), out, axis=axis)
+        out = apply_weighting(WeightOperator(c), out)
     return out
-
-
-def weighting_row(coeffs: CoefficientSet) -> np.ndarray:
-    """Normalized weighting row ``(beta, alpha, 1, alpha, beta)/s``.
-
-    Only used for validation: solvers never materialize dense weightings.
-    """
-    s = coeffs.scale
-    return np.array([coeffs.beta, coeffs.alpha, 1.0, coeffs.alpha, coeffs.beta]) / s
 
 
 # ---------------------------------------------------------------------------
@@ -450,17 +363,16 @@ class DiffStencil:
     half_width: int
     row: tuple[float, ...]
 
-    def apply(self, f: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Periodic application of the stencil row."""
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """Periodic application of the stencil row along axis 0."""
         f = np.asarray(f, dtype=float)
         out = np.zeros_like(f)
-        o, v = out.swapaxes(0, axis), f.swapaxes(0, axis)
-        n = v.shape[0]
-        ext = _periodic_pad(v, self.half_width)
+        n = f.shape[0]
+        ext = _periodic_pad(f, self.half_width)
         # terms added in row order onto zeros; row i of ext[k:k + n] is f_{i+k-hw}
         for k, coef in enumerate(self.row):
             if coef != 0.0:
-                o += coef * ext[k:k + n]
+                out += coef * ext[k:k + n]
         return out
 
 
@@ -477,16 +389,3 @@ def difference_stencil(coeffs: CoefficientSet) -> DiffStencil:
         return DiffStencil(coeffs.derivative_order, 1, row)
     return DiffStencil(coeffs.derivative_order, 2, row)
 
-
-def compact_derivative(coeffs: CoefficientSet, f: np.ndarray, dx: float) -> np.ndarray:
-    """Evaluate the compact derivative of a periodic field.
-
-    Applies the explicit difference stencil, then inverts the weighting
-    through its tridiagonal chain.
-    """
-    if dx <= 0:
-        raise ValueError("dx must be positive")
-    rhs = difference_stencil(coeffs).apply(f) / dx ** coeffs.derivative_order
-    for c in recovery_chain(coeffs):
-        rhs = solve_weighting(WeightOperator(c), rhs)
-    return rhs

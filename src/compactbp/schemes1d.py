@@ -127,35 +127,25 @@ class StepContext:
 
 
 def max_stable_dt(problem, dx: float, cs1: ops.CoefficientSet,
-                  cs2: ops.CoefficientSet, mode: str | None = None,
-                  ssp_coefficient: float = 1.0, *, dx2_convection: bool = False,
-                  cap: float | None = None) -> float:
-    """Largest time step preserving weak monotonicity, scaled by the SSP factor.
+                  cs2: ops.CoefficientSet, *, dx2_convection: bool = False) -> float:
+    """Largest forward-Euler step preserving weak monotonicity.
 
     For combined convection-diffusion both single-equation constants are
     halved (the update is the half-half convex splitting of the two pure
     steps).  ``dx2_convection=True`` replaces the convection dx-scaling by
-    dx^2 for temporal-order verification runs.  When neither term is
-    active the user-supplied ``cap`` is returned.
+    dx^2 for temporal-order verification runs.  With neither term active
+    the step is unbounded (inf).
     """
-    mode = mode or problem.mode()
     maxf = problem.max_fprime if problem.has_convection else 0.0
     maxa = problem.max_aprime if problem.has_diffusion else 0.0
-    half = 0.5 if mode == "convdiff" else 1.0
-    limits = []
+    half = 0.5 if problem.mode() == "convdiff" else 1.0
+    limits = [math.inf]
     if maxf > 0:
         conv_dx = dx ** 2 if dx2_convection else dx
         limits.append(half * cs1.cfl_factor * conv_dx / maxf)
     if maxa > 0:
         limits.append(half * cs2.cfl_factor * dx ** 2 / maxa)
-    if not limits:
-        if cap is None:
-            raise ValueError("problem has no active CFL constraint; supply a cap")
-        return cap
-    dt = ssp_coefficient * min(limits)
-    if cap is not None:
-        dt = min(dt, cap)
-    return dt
+    return min(limits)
 
 
 class Scheme:
@@ -166,9 +156,9 @@ class Scheme:
     :mod:`.timeint` are convex combinations of such steps.  So a subclass
     supplies only the problem-specific parts: ``means(u)`` (the weighted
     means of the point values), ``rhs_means(u, t)`` (their time
-    derivative), ``recover(q, t, limiting)`` (point values from updated
-    means, limited when ``limiting``, or ``bp_limit`` if it is None),
-    ``admissible_dt_fe()`` and ``_coordinates(n)`` (the grid point
+    derivative), ``recover(q, t)`` (point values from updated means,
+    limited when ``bp_limit`` is set), ``admissible_dt_fe()`` and
+    ``_coordinates(n)`` (the grid point
     coordinates, one array per dimension).  The time step belongs to the
     caller: one instance serves every ``dt`` and holds no mutable state,
     so distinct refinement levels may run concurrently.
@@ -198,12 +188,11 @@ class Scheme:
             return None
         return np.asarray(self.problem.exact(*self.grid(), t), dtype=float)
 
-    def euler_step(self, u: np.ndarray, dt: float, t: float = 0.0,
-                   limiting: bool | None = None):
+    def euler_step(self, u: np.ndarray, dt: float, t: float = 0.0):
         """One forward-Euler step from time ``t``: returns (u_new, means_new, report)."""
         check_dt(dt, self.admissible_dt_fe(), self.problem.name)
         q = self.means(u) + dt * self.rhs_means(u, t)
-        u_new, report = self.recover(q, t + dt, limiting)
+        u_new, report = self.recover(q, t + dt)
         return u_new, q, report
 
 
@@ -245,9 +234,7 @@ class PeriodicScheme1D(Scheme):
         return (periodic_grid(self.problem, n)[0],)
 
     def admissible_dt_fe(self) -> float:
-        # the cap makes a problem with no active term unbounded, as in 2D
-        return max_stable_dt(self.problem, self.ctx.dx, self.ctx.cs1, self.ctx.cs2,
-                             self.mode, cap=math.inf)
+        return max_stable_dt(self.problem, self.ctx.dx, self.ctx.cs1, self.ctx.cs2)
 
     def means(self, u: np.ndarray) -> np.ndarray:
         return ops.apply_weighting_chain(self.chain, u)
@@ -268,10 +255,8 @@ class PeriodicScheme1D(Scheme):
         return (ops.apply_weighting_chain(self.ctx.chain2, conv)
                 + ops.apply_weighting_chain(self.ctx.chain1, diff))
 
-    def recover(self, q: np.ndarray, t: float = 0.0,
-                limiting: bool | None = None) -> tuple[np.ndarray, LimiterReport]:
-        limiting = self.bp_limit if limiting is None else limiting
-        return recover_point_values(q, self.chain, self.bounds, limiting)
+    def recover(self, q: np.ndarray, t: float = 0.0) -> tuple[np.ndarray, LimiterReport]:
+        return recover_point_values(q, self.chain, self.bounds, self.bp_limit)
 
 
 def periodic_grid(problem, n: int) -> tuple[np.ndarray, float]:

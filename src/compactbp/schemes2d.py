@@ -121,30 +121,24 @@ class PeriodicScheme2D(Scheme):
 
     The limiting cascade solves and limits dimension by dimension:
     c = 4 sweeps along x then y, followed (with diffusion present) by
-    c = 10 sweeps along x then y.  ``sweep_order="yx"`` flips the axis
-    order inside each level pair; the bounds and conservation contract is
-    unchanged, the option only exposes any ordering sensitivity.
+    c = 10 sweeps along x then y.
     """
 
     def __init__(self, problem: Problem2D, ctx: StepContext2D, *,
                  nx: int | None = None, ny: int | None = None,
-                 bp_limit: bool = True, sweep_order: str = "xy"):
-        if sweep_order not in ("xy", "yx"):
-            raise ValueError("sweep_order must be 'xy' or 'yx'")
+                 bp_limit: bool = True):
         # the periodic weighting solves need three points along each axis
         check_grid_size(problem, nx, 3, "nx")
         check_grid_size(problem, ny, 3, "ny")
         super().__init__(problem, ctx, None if nx is None or ny is None else (nx, ny),
                          bp_limit)
         self.mode = problem.mode()
-        self.sweep_order = sweep_order
         # recovery levels as (c, axis) in solve order
-        axes = (0, 1) if sweep_order == "xy" else (1, 0)
-        levels = [(4.0, axes[0]), (4.0, axes[1])]
+        levels = [(4.0, 0), (4.0, 1)]
         if self.mode == "diffusion":
-            levels = [(10.0, axes[0]), (10.0, axes[1])]
+            levels = [(10.0, 0), (10.0, 1)]
         elif self.mode == "convdiff":
-            levels += [(10.0, axes[0]), (10.0, axes[1])]
+            levels += [(10.0, 0), (10.0, 1)]
         self.levels = tuple(levels)
 
     def _coordinates(self, n):
@@ -197,15 +191,13 @@ class PeriodicScheme2D(Scheme):
             out = out + q
         return out
 
-    def recover(self, q: np.ndarray, t: float = 0.0,
-                limiting: bool | None = None) -> tuple[np.ndarray, LimiterReport]:
-        limiting = self.bp_limit if limiting is None else limiting
+    def recover(self, q: np.ndarray, t: float = 0.0) -> tuple[np.ndarray, LimiterReport]:
         report = None
         v = np.asarray(q, dtype=float)
         for c, axis in self.levels:
             rhs = v
             v = ops.solve_weighting(ops.WeightOperator(c), rhs, axis=axis)
-            if limiting:
+            if self.bp_limit:
                 # the solve's right-hand side holds the means the limiter checks
                 v, rep = limit_bounds(v, self.bounds, c, axis=axis, means=rhs)
                 report = rep if report is None else report.merge(rep)

@@ -102,26 +102,6 @@ class IntegratorSpec:
         return METHODS[self.method][1]
 
 
-class OdeScheme:
-    """Adapter exposing a plain ODE u' = f(u, t) to the integrators."""
-
-    def __init__(self, f):
-        self.f = f
-        self.bp_limit = False
-
-    def means(self, u):
-        return u
-
-    def rhs_means(self, u, t=0.0):
-        return self.f(u, t)
-
-    def recover(self, q, t=0.0, limiting=None):
-        return q, LimiterReport()
-
-    def admissible_dt_fe(self):
-        return math.inf
-
-
 class SspIntegrator:
     """Stateful driver: owns the time step, clock and history of one solve.
 

@@ -14,10 +14,8 @@ import pytest
 from compactbp.harness import RunConfig, build_scheme, run_convergence_study, run_level
 from compactbp.limiters import Bounds, limit_bounds
 from compactbp.operators import (WeightOperator, apply_weighting,
-                                 factor_first_weighting, factor_second_weighting,
-                                 first_derivative_coefficients,
-                                 second_derivative_coefficients, solve_weighting,
-                                 weighting_row)
+                                 first_derivative_coefficients, recovery_chain,
+                                 second_derivative_coefficients, solve_weighting)
 from compactbp.schemes1d import PeriodicScheme1D, StepContext
 from compactbp.timeint import (MS4_ALPHA, MS4_BETA, RK54_STAGES, IntegratorSpec,
                                SspIntegrator)
@@ -268,17 +266,18 @@ class TestCriterion10:
     def test_factorization_reconstruction(self):
         def dense(cfun, alpha, order):
             cs = cfun(order, alpha)
-            fac = (factor_first_weighting(cs) if cs.derivative_order == 1
-                   else factor_second_weighting(cs))
-            row = weighting_row(cs)
+            c_big, c_small = recovery_chain(cs)
+            row = np.array([cs.beta, cs.alpha, 1.0, cs.alpha, cs.beta]) / cs.scale
             for n in (8, 16, 33):
                 W = np.zeros((n, n))
                 for i in range(n):
                     for k, coef in enumerate(row, start=-2):
                         W[i, (i + k) % n] += coef
                 eye = np.eye(n)
-                F1 = np.column_stack([apply_weighting(fac.first, col) for col in eye])
-                F2 = np.column_stack([apply_weighting(fac.second, col) for col in eye])
+                F1 = np.column_stack([apply_weighting(WeightOperator(c_small), col)
+                                      for col in eye])
+                F2 = np.column_stack([apply_weighting(WeightOperator(c_big), col)
+                                      for col in eye])
                 assert np.abs(W - F1 @ F2).max() <= 1e-13
 
         for alpha in (0.35, 0.4, 4 / 9, 0.5, 5 / 9):

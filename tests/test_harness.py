@@ -42,10 +42,13 @@ class TestRunConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             RunConfig(problem="linadv-sin4", refine=(80, 40))
-        with pytest.raises(ValueError, match="convection-only"):
-            RunConfig(problem="convdiff-lin", tvb=5.0)
-        with pytest.raises(ValueError, match="order 4"):
-            RunConfig(problem="linadv-sin4", tvb=5.0, order=8)
+        # the periodic 1D scheme checks its TVB rules when it is built
+        cfg = RunConfig(problem="convdiff-lin", tvb=5.0)
+        with pytest.raises(ConfigError, match="pure convection"):
+            build_scheme(cfg, cfg.n)
+        cfg = RunConfig(problem="linadv-sin4", tvb=5.0, order=8)
+        with pytest.raises(ConfigError, match="4th-order flux"):
+            build_scheme(cfg, cfg.n)
         with pytest.raises(ValueError):
             RunConfig(problem="linadv-sin4", integrator="rk9")
 
@@ -276,6 +279,12 @@ class TestCli:
         (["solve", "--problem", "2d-linadv", "--dt-scale", "dx2"], "dx2"),
         (["study", "--problem", "linadv-sin4", "--refine", "2,40", "--T", "0.05"],
          "failed at N=2: linadv-sin4 needs N >= 3"),
+        (["solve", "--problem", "linadv-sin4", "--N", "0"], "got N = 0"),
+        (["solve", "--problem", "linadv-sin4", "--N", "20", "--T", "-1"], "got T = -1.0"),
+        (["solve", "--problem", "linadv-sin4", "--N", "20", "--T", "0"], "got T = 0.0"),
+        (["solve", "--problem", "linadv-sin4", "--N", "20", "--T", "nan"], "got T = nan"),
+        (["study", "--problem", "linadv-sin4", "--refine", "0,20", "--T", "0.05"],
+         "got N = 0"),
     ])
     def test_bad_input_is_one_line_on_stderr(self, capsys, argv, message):
         assert main(argv) == 2
@@ -299,6 +308,14 @@ class TestCli:
         cfg.write_text("problem = nope\nN = 10\n")
         assert main(["solve", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: unknown problem 'nope'\n"
+
+    @pytest.mark.parametrize("line", ["foo = 10", "config = x"])
+    def test_unknown_key_in_config_file(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"problem = linadv-sin4\n{line}\n")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == f"error: unknown key '{key}'\n"
 
     def test_bare_tvb_flag_defaults_to_five(self, capsys):
         code = main(["solve", "--problem", "linadv-step", "--N", "24",

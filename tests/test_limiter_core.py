@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import limiter_oracle as oracle
 from compactbp.limiters import (Bounds, WeakMonotonicityError, limit_bounds,
-                                limit_bounds_segment, limit_lower)
+                                limit_bounds_segment)
 from compactbp.operators import WeightOperator, apply_weighting, solve_weighting
 from compactbp.problems import builtin
 from compactbp.schemes2d import PeriodicScheme2D, Problem2D, StepContext2D
@@ -200,9 +200,10 @@ class TestMatchesOracle:
     @pytest.mark.parametrize("problem, order", [("2d-pme-m3", "xy"), ("2d-convdiff", "yx")])
     def test_2d_recovery(self, problem, order):
         prob = builtin(problem)
-        scheme = PeriodicScheme2D(prob, StepContext2D(0.1, 0.1), sweep_order=order)
+        scheme = PeriodicScheme2D(prob, StepContext2D(0.1, 0.1))
         rng = np.random.default_rng(17)
         q = rng.uniform(prob.bounds.lower, prob.bounds.upper, (20, 24))
+        q = oriented(q, order)
         want = q
         for c, axis in scheme.levels:
             want = solve_weighting(WeightOperator(c), want, axis=axis)
@@ -212,6 +213,12 @@ class TestMatchesOracle:
         assert rep.modified_count > 0
         # same memory order as limiting in place, so sums add up alike
         assert got.sum() == want.sum()
+
+
+def oriented(q, order):
+    """``q`` for an x-first sweep ("xy"), or its transpose, whose recovery
+    sweeps the original y axis first ("yx")."""
+    return q if order == "xy" else q.T
 
 
 def convection_scheme(bounds=UNIT, **kw):
@@ -367,8 +374,6 @@ class TestNonFinite:
             limit_bounds(u, UNIT, 4.0)
         with pytest.raises(ValueError, match="non-finite.*index 3"):
             limit_bounds_segment(u, UNIT, 4.0, edge_rows=True)
-        with pytest.raises(ValueError, match="non-finite.*index 3"):
-            limit_lower(u, 0.0, 4.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_fixed_end_value(self, bad):
@@ -438,6 +443,6 @@ def test_commutes_with_shifts(case, k):
 def test_2d_sweep_order(nx, ny, bounds, seed):
     q = np.random.default_rng(seed).uniform(bounds.lower, bounds.upper, (nx, ny))
     for order in ("xy", "yx"):
-        u, _ = convection_scheme(bounds, sweep_order=order).recover(q)
+        u, _ = convection_scheme(bounds).recover(oriented(q, order))
         assert u.min() >= bounds.lower and u.max() <= bounds.upper
         assert abs(u.sum() - q.sum()) <= 1e-13 * q.size * scale(bounds)

@@ -7,11 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from compactbp.limiters import (
-    Bounds, WeakMonotonicityError, cascade_limit,
-    classify_sets, limit_bounds, limit_bounds_segment, limit_lower,
-    _minmod_rows, tvb_euler_step, tvb_flux,
+    Bounds, WeakMonotonicityError, classify_sets, flux_difference,
+    limit_bounds, limit_bounds_segment, recover_point_values,
+    _minmod_rows, tvb_flux,
 )
-from compactbp.operators import WeightOperator, apply_weighting, solve_weighting
+from compactbp.operators import (WeightOperator, apply_weighting,
+                                 apply_weighting_chain, solve_weighting)
 from compactbp.problems import builtin
 
 
@@ -25,37 +26,41 @@ def conservation_budget(n, bounds):
     return 1e-12 * n * max(1.0, abs(bounds.lower), abs(bounds.upper))
 
 
+# an upper bound no test datum comes near: only the lower bound acts
+LOWER = Bounds(0.0, 10.0)
+
+
 class TestLimitLower:
     def test_identity_when_clean(self):
         u = np.array([0.3, 0.4, 0.5, 0.6])
-        v, rep = limit_lower(u, 0.0, 4.0)
+        v, rep = limit_bounds(u, LOWER, 4.0)
         assert_allclose(v, u, rtol=0, atol=0)
         assert rep.modified_count == 0
 
     def test_hand_example(self):
         # undershoot at index 1 splits evenly between equal neighbours
         u = np.array([0.5, -0.1, 0.5, 0.5])
-        v, rep = limit_lower(u, 0.0, 4.0)
+        v, rep = limit_bounds(u, LOWER, 4.0)
         assert_allclose(v, [0.45, 0.0, 0.45, 0.5], atol=1e-16)
         assert v.sum() == pytest.approx(1.4, abs=1e-15)
         assert rep.modified_count == 3
 
     def test_shift_equivariance(self):
         u = np.array([0.5, -0.1, 0.5, 0.5])
-        base, _ = limit_lower(u, 0.0, 4.0)
+        base, _ = limit_bounds(u, LOWER, 4.0)
         for k in range(1, 4):
-            shifted, _ = limit_lower(np.roll(u, k), 0.0, 4.0)
+            shifted, _ = limit_bounds(np.roll(u, k), LOWER, 4.0)
             assert np.array_equal(shifted, np.roll(base, k))
 
     def test_precondition_violation(self):
         u = np.array([-1.0, -1.0, -1.0, 5.0])
         with pytest.raises(WeakMonotonicityError) as err:
-            limit_lower(u, 0.0, 4.0)
+            limit_bounds(u, LOWER, 4.0)
         assert err.value.index in (0, 1)
 
     def test_c_validation(self):
         with pytest.raises(ValueError, match="c >= 2"):
-            limit_lower(np.zeros(4), 0.0, 1.5)
+            limit_bounds(np.zeros(4), LOWER, 1.5)
 
 
 class TestLimitBounds:
@@ -102,7 +107,7 @@ class TestClassifySets:
     def test_no_excursions(self):
         cls = classify_sets(np.full(6, 0.4), Bounds(0.0, 1.0))
         assert cls.sawtooth_sets == ()
-        assert cls.plain_sets == ((0, 6),)
+        assert not cls.whole_circle
 
     def test_adjacent_mixed_pair(self):
         u = np.array([0.5, 1.2, -0.1, 0.5, 0.5])
@@ -128,17 +133,21 @@ class TestClassifySets:
 
 
 class TestCascade:
+    """Level-by-level recovery: solve, then limit at that level's c."""
+
     def test_single_level_matches_limit_bounds(self):
         rng = np.random.default_rng(0)
         bounds = Bounds(0.0, 1.0)
         u = admissible_field(rng, 16, bounds, 4.0)
-        via_cascade, _ = cascade_limit(u, bounds, [("periodic", 4.0)])
-        direct, _ = limit_bounds(u, bounds, 4.0)
+        means = apply_weighting(WeightOperator(4.0), u)
+        via_cascade, _ = recover_point_values(means, (4.0,), bounds, True)
+        direct, _ = limit_bounds(solve_weighting(WeightOperator(4.0), means), bounds, 4.0)
         assert_allclose(via_cascade, direct, rtol=0, atol=0)
 
     def test_identity_inside(self):
         u = np.full(10, 0.5)
-        v, rep = cascade_limit(u, Bounds(0.0, 1.0), [10.0, 4.0])
+        means = apply_weighting_chain((10.0, 4.0), u)
+        v, rep = recover_point_values(means, (10.0, 4.0), Bounds(0.0, 1.0), True)
         assert_allclose(v, u, atol=1e-13)
         assert rep.modified_count == 0
 
@@ -148,7 +157,7 @@ class TestCascade:
         q = rng.uniform(0, 1, 24)
         w4, w10 = WeightOperator(4.0), WeightOperator(10.0)
         u = solve_weighting(w4, solve_weighting(w10, q))
-        got, rep = cascade_limit(u, bounds, [("periodic", 10.0), ("periodic", 4.0)])
+        got, rep = recover_point_values(q, (10.0, 4.0), bounds, True)
         # sequential hand application: solve/limit at c=10, then c=4
         stage1 = solve_weighting(w10, q)
         stage1, _ = limit_bounds(stage1, bounds, 10.0)
@@ -158,10 +167,6 @@ class TestCascade:
         assert got.min() >= bounds.lower - 1e-13
         assert got.max() <= bounds.upper + 1e-13
         assert got.sum() == pytest.approx(u.sum(), abs=conservation_budget(24, bounds))
-
-    def test_rejects_non_periodic(self):
-        with pytest.raises(ValueError):
-            cascade_limit(np.zeros(8), Bounds(0, 1), [("dirichlet", 4.0)])
 
 
 class TestRandomizedProperties:
@@ -344,6 +349,12 @@ class TestModifiedMinmod:
         assert modified_minmod([3e-4, -1.0, 2.0], 5.0, 0.01) == 3e-4
 
 
+def tvb_euler_step(u, ubar, problem, lam, p, dx):
+    """Forward-Euler update of the means ``ubar`` with the TVB flux at
+    ``lam = dt/dx``, from the pieces ``PeriodicScheme1D.rhs_means`` uses."""
+    return ubar - lam * flux_difference(tvb_flux(u, ubar, problem, dx, p))
+
+
 class TestTvbEulerStep:
     def setup_method(self):
         self.problem = builtin("linadv-step")
@@ -355,14 +366,13 @@ class TestTvbEulerStep:
     def test_constant_state(self):
         u = np.full(self.n, 0.5)
         q = tvb_euler_step(u, apply_weighting(self.w, u), self.problem,
-                           1 / 12, 5.0, self.problem.bounds, self.dx)
+                           1 / 12, 5.0, self.dx)
         assert_allclose(q, u, atol=1e-15)
 
     def test_smooth_resolved_matches_plain_flux(self):
         u = 0.5 + 0.25 * np.sin(self.x)
         ubar = apply_weighting(self.w, u)
-        q = tvb_euler_step(u, ubar, self.problem, 1 / 12, 5.0,
-                           self.problem.bounds, self.dx)
+        q = tvb_euler_step(u, ubar, self.problem, 1 / 12, 5.0, self.dx)
         fhat = 0.5 * (u + np.roll(u, -1))
         plain = ubar - (1 / 12) * (fhat - np.roll(fhat, 1))
         assert_allclose(q, plain, rtol=0, atol=0)
@@ -370,20 +380,9 @@ class TestTvbEulerStep:
     def test_step_data_means_bounded(self):
         u = self.problem.initial(self.x)
         ubar = apply_weighting(self.w, u)
-        q = tvb_euler_step(u, ubar, self.problem, 1 / 12, 5.0,
-                           self.problem.bounds, self.dx)
+        q = tvb_euler_step(u, ubar, self.problem, 1 / 12, 5.0, self.dx)
         assert q.min() >= -1e-12
         assert q.max() <= 1 + 1e-12
-
-    def test_cfl_guard(self):
-        u = self.problem.initial(self.x)
-        ubar = apply_weighting(self.w, u)
-        with pytest.raises(ValueError, match="1/12"):
-            tvb_euler_step(u, ubar, self.problem, 0.2, 5.0,
-                           self.problem.bounds, self.dx)
-        # the driver escape hatch skips the check
-        tvb_euler_step(u, ubar, self.problem, 0.2, 5.0,
-                       self.problem.bounds, self.dx, enforce_cfl=False)
 
     def test_scalar_matches_vector_minmod(self):
         rng = np.random.default_rng(12)
@@ -431,7 +430,6 @@ class TestTvbEulerStep:
                 fhat = tvb_flux(u, ubar, self.problem, self.dx, p)
                 ref = roll_tvb_flux(u, ubar, self.problem, self.dx, p)
                 assert np.array_equal(fhat.view(np.int64), ref.view(np.int64))
-                q = tvb_euler_step(u, ubar, self.problem, 1 / 12, p,
-                                   self.problem.bounds, self.dx)
+                q = tvb_euler_step(u, ubar, self.problem, 1 / 12, p, self.dx)
                 q_ref = ubar - (1 / 12) * (ref - np.roll(ref, 1))
                 assert np.array_equal(q.view(np.int64), q_ref.view(np.int64))

@@ -32,11 +32,13 @@ def _pushed(q, index, bounds, side):
 
 def _check(scheme, q, index, side, t=0.0):
     bad = _pushed(q, index, scheme.bounds, side)
+    scheme.bp_limit = True
     with pytest.raises(WeakMonotonicityError) as err:
-        scheme.recover(bad, t, True)
+        scheme.recover(bad, t)
     assert err.value.index == index
     assert err.value.value == bad[index]
-    scheme.recover(bad, t, False)  # unlimited recovery checks nothing
+    scheme.bp_limit = False
+    scheme.recover(bad, t)  # unlimited recovery checks nothing
 
 
 @pytest.mark.parametrize("side", ["upper", "lower"])
@@ -53,12 +55,17 @@ def test_periodic_1d(order, side):
 @pytest.mark.parametrize("sweep_order", ["xy", "yx"])
 @pytest.mark.parametrize("problem", ["2d-linadv", "2d-pme-m3"])
 def test_periodic_2d(problem, sweep_order, side):
+    # "yx" recovers the transposed means, sweeping the original y axis
+    # first; the index is in the layout handed to recover
     prob = builtin(problem)
     nx, ny = 12, 10
     dx, dy = (prob.x_hi - prob.x_lo) / nx, (prob.y_hi - prob.y_lo) / ny
-    scheme = PeriodicScheme2D(prob, StepContext2D(dx, dy), nx=nx, ny=ny,
-                              sweep_order=sweep_order)
-    _check(scheme, scheme.means(scheme.initial_state()[0]), (7, 3), side)
+    scheme = PeriodicScheme2D(prob, StepContext2D(dx, dy), nx=nx, ny=ny)
+    q = scheme.means(scheme.initial_state()[0])
+    if sweep_order == "xy":
+        _check(scheme, q, (7, 3), side)
+    else:
+        _check(scheme, q.T, (3, 7), side)
 
 
 @pytest.mark.parametrize("side", ["upper", "lower"])

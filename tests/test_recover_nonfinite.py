@@ -37,10 +37,11 @@ def test_periodic_1d(order, bad, limiting):
     prob = builtin("linadv-sin4")
     n = 32
     dx = prob.length / n
-    scheme = PeriodicScheme1D(prob, StepContext.create(dx, order), n=n)
+    scheme = PeriodicScheme1D(prob, StepContext.create(dx, order), n=n,
+                              bp_limit=limiting)
     q = scheme.means(scheme.initial_state()[0])
     with pytest.raises(ValueError, match=_expect(11)):
-        scheme.recover(_with_bad(q, 11, bad), 0.0, limiting)
+        scheme.recover(_with_bad(q, 11, bad), 0.0)
 
 
 @pytest.mark.parametrize("limiting", [False, True])
@@ -48,17 +49,22 @@ def test_periodic_1d(order, bad, limiting):
 @pytest.mark.parametrize("sweep_order", ["xy", "yx"])
 @pytest.mark.parametrize("problem", ["2d-linadv", "2d-pme-m3"])
 def test_periodic_2d(problem, sweep_order, bad, limiting):
-    # "xy" solves along axis 0 first, "yx" along axis 1
+    # "xy" solves the means along axis 0 first; "yx" recovers their
+    # transposed view, so the first solve runs along the original axis 1
+    # and the index is named in the transposed layout
     prob = builtin(problem)
     nx, ny = 12, 10
     dx, dy = (prob.x_hi - prob.x_lo) / nx, (prob.y_hi - prob.y_lo) / ny
     scheme = PeriodicScheme2D(prob, StepContext2D(dx, dy), nx=nx, ny=ny,
-                              sweep_order=sweep_order)
+                              bp_limit=limiting)
     q = scheme.means(scheme.initial_state()[0])
     q = _with_bad(q, (7, 3), bad)
-    q[9, 1] = np.nan  # later in C order than (7, 3)
-    with pytest.raises(ValueError, match=_expect((7, 3))):
-        scheme.recover(q, 0.0, limiting)
+    q[9, 5] = np.nan  # later than (7, 3) in C order of either layout
+    index = (7, 3)
+    if sweep_order == "yx":
+        q, index = q.T, (3, 7)
+    with pytest.raises(ValueError, match=_expect(index)):
+        scheme.recover(q, 0.0)
 
 
 @pytest.mark.parametrize("limiting", [False, True])
@@ -68,10 +74,11 @@ def test_inflow_outflow(index, bad, limiting):
     prob = builtin("inflow-burgers")
     n = 24
     dx = prob.length / (n + 1)
-    scheme = InflowOutflowScheme(prob, StepContext.create(dx, 4), n=n)
+    scheme = InflowOutflowScheme(prob, StepContext.create(dx, 4), n=n,
+                                 bp_limit=limiting)
     q = scheme.means(scheme.initial_state()[0])
     with pytest.raises(ValueError, match=_expect(index)):
-        scheme.recover(_with_bad(q, index, bad), 0.0, limiting)
+        scheme.recover(_with_bad(q, index, bad), 0.0)
 
 
 @pytest.mark.parametrize("limiting", [False, True])
@@ -81,10 +88,11 @@ def test_dirichlet(index, bad, limiting):
     prob = builtin("dirichlet-convdiff")
     n = 24
     dx = prob.length / (n + 1)
-    scheme = DirichletConvDiffScheme(prob, StepContext.create(dx, 4), n=n)
+    scheme = DirichletConvDiffScheme(prob, StepContext.create(dx, 4), n=n,
+                                     bp_limit=limiting)
     q = scheme.means(scheme.initial_state()[0])
     with pytest.raises(ValueError, match=_expect(index)):
-        scheme.recover(_with_bad(q, index, bad), 0.0, limiting)
+        scheme.recover(_with_bad(q, index, bad), 0.0)
 
 
 @pytest.mark.parametrize("limiting", [False, True])
@@ -96,7 +104,8 @@ def test_nan_boundary_value(problem, cls, what, limiting):
     # NaN compares false against both bounds, so a range test alone lets it in
     prob = replace(builtin(problem), left_value=lambda t: float("nan"))
     n = 24
-    scheme = cls(prob, StepContext.create(prob.length / (n + 1), 4), n=n)
+    scheme = cls(prob, StepContext.create(prob.length / (n + 1), 4), n=n,
+                 bp_limit=limiting)
     q = scheme.means(scheme.initial_state()[0])
     with pytest.raises(ValueError, match=f"{what} value nan outside bounds"):
-        scheme.recover(q, 0.0, limiting)
+        scheme.recover(q, 0.0)

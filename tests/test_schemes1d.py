@@ -106,8 +106,8 @@ class TestEulerConvDiff:
         # and the admissible dt halves when both terms are active
         cs1 = first_derivative_coefficients(4)
         cs2 = second_derivative_coefficients(4)
-        full = max_stable_dt(self._problem(), 0.1, cs1, cs2, "convdiff")
-        pure = max_stable_dt(conv, 0.1, cs1, cs2, "convection")
+        full = max_stable_dt(self._problem(), 0.1, cs1, cs2)
+        pure = max_stable_dt(conv, 0.1, cs1, cs2)
         assert full == pytest.approx(pure / 2, rel=1e-12)
 
     def test_heat_constant(self):
@@ -124,7 +124,7 @@ class TestEulerConvDiff:
         x = 2 * np.pi * np.arange(1, n + 1) / n
         dx = 2 * np.pi / n
         dt = max_stable_dt(prob, dx, first_derivative_coefficients(4),
-                           second_derivative_coefficients(4), "convdiff")
+                           second_derivative_coefficients(4))
         scheme = PeriodicScheme1D(prob, StepContext.create(dx, 4), bp_limit=False)
         u0 = np.sin(x)
         u1, q1, _ = scheme.euler_step(u0, dt)
@@ -164,7 +164,7 @@ class TestEulerConvDiff:
         x = 2 * np.pi * np.arange(1, n + 1) / n
         dx = 2 * np.pi / n
         dt = max_stable_dt(prob, dx, first_derivative_coefficients(4),
-                           second_derivative_coefficients(4), "convdiff")
+                           second_derivative_coefficients(4))
         scheme = PeriodicScheme1D(prob, StepContext.create(dx, 4), bp_limit=True)
         u = np.sin(x)
         for _ in range(20):
@@ -180,12 +180,11 @@ class TestMaxStableDt:
         self.cs2_8 = second_derivative_coefficients(8)
 
     def test_order4_convection(self):
-        dt = max_stable_dt(linear_advection(), 0.3, self.cs1_4, self.cs2_4,
-                           "convection", ssp_coefficient=C_MS)
+        dt = C_MS * max_stable_dt(linear_advection(), 0.3, self.cs1_4, self.cs2_4)
         assert dt == pytest.approx(C_MS * 0.3 / 3, rel=1e-14)
 
     def test_order8_convection_factor(self):
-        dt = max_stable_dt(linear_advection(), 0.3, self.cs1_8, self.cs2_8, "convection")
+        dt = max_stable_dt(linear_advection(), 0.3, self.cs1_8, self.cs2_8)
         assert dt == pytest.approx((6 / 25) * 0.3, rel=1e-14)
 
     def test_order8_convdiff_factors(self):
@@ -194,22 +193,19 @@ class TestMaxStableDt:
                          initial=np.sin, flux=lambda u: u, max_fprime=1.0,
                          diffusion=lambda u: d * u, max_aprime=d)
         dx = 0.05
-        dt = max_stable_dt(prob, dx, self.cs1_8, self.cs2_8, "convdiff",
-                           ssp_coefficient=C_MS)
+        dt = C_MS * max_stable_dt(prob, dx, self.cs1_8, self.cs2_8)
         expect = C_MS * min((3 / 25) * dx, (131 / 530) * dx ** 2 / d)
         assert dt == pytest.approx(expect, rel=1e-13)
         # quadratic convection scaling for temporal-order verification
-        dt2 = max_stable_dt(prob, dx, self.cs1_8, self.cs2_8, "convdiff",
-                            ssp_coefficient=C_MS, dx2_convection=True)
+        dt2 = C_MS * max_stable_dt(prob, dx, self.cs1_8, self.cs2_8,
+                                   dx2_convection=True)
         expect2 = C_MS * min((3 / 25) * dx ** 2, (131 / 530) * dx ** 2 / d)
         assert dt2 == pytest.approx(expect2, rel=1e-13)
 
-    def test_no_constraint_returns_cap(self):
+    def test_no_constraint_returns_inf(self):
         prob = Problem1D(name="free", x_lo=0, x_hi=1, bounds=Bounds(0, 1),
                          initial=lambda x: 0 * x)
-        assert max_stable_dt(prob, 0.1, self.cs1_4, self.cs2_4, cap=0.123) == 0.123
-        with pytest.raises(ValueError):
-            max_stable_dt(prob, 0.1, self.cs1_4, self.cs2_4)
+        assert max_stable_dt(prob, 0.1, self.cs1_4, self.cs2_4) == np.inf
 
 
 class TestConvergence:

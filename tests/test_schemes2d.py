@@ -58,7 +58,7 @@ class TestConvection2D:
                                     bp_limit=False)
         line = u0[:, 0]
         q1 = scheme1d.means(line) + dt * scheme1d.rhs_means(line)
-        u1, _ = scheme1d.recover(q1, limiting=False)
+        u1, _ = scheme1d.recover(q1)
         for j in range(n):
             assert_allclose(u2[:, j], u1, atol=1e-13)
 
@@ -146,11 +146,12 @@ class TestStructure:
         dt = 0.1648 * max_stable_dt_2d(prob, dx, dx)
         rng = np.random.default_rng(35)
         u0 = np.clip(0.75 + 0.24 * rng.normal(size=(n, n)), 0.5, 1.0)
-        for order in ("xy", "yx"):
-            scheme = PeriodicScheme2D(prob, StepContext2D(dx, dx),
-                                      bp_limit=True, sweep_order=order)
-            u, q, rep = scheme.euler_step(u0, dt)
-            assert q.sum() == pytest.approx(scheme.means(u0).sum(), abs=1e-11)
+        scheme = PeriodicScheme2D(prob, StepContext2D(dx, dx), bp_limit=True)
+        # the problem is symmetric in x and y, so stepping the transposed
+        # state sweeps the original y axis first
+        for start in (u0, u0.T):
+            u, q, rep = scheme.euler_step(start, dt)
+            assert q.sum() == pytest.approx(scheme.means(start).sum(), abs=1e-11)
             assert u.sum() == pytest.approx(q.sum(), abs=1e-11)
             assert u.min() >= 0.5 - 1e-13
             assert u.max() <= 1.0 + 1e-13
