@@ -221,11 +221,11 @@ def oriented(q, order):
     return q if order == "xy" else q.T
 
 
-def convection_scheme(bounds=UNIT, **kw):
+def convection_scheme(bounds=UNIT):
     prob = Problem2D(name="unit-adv", x_lo=0.0, x_hi=1.0, y_lo=0.0, y_hi=1.0,
                      bounds=bounds, initial=lambda x, y: 0.5 + 0 * x,
                      flux_x=lambda u: u, max_fprime=1.0)
-    return PeriodicScheme2D(prob, StepContext2D(0.1, 0.1), **kw)
+    return PeriodicScheme2D(prob, StepContext2D(0.1, 0.1))
 
 
 class TestReports2D:
