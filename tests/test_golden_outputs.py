@@ -34,6 +34,8 @@ RUNS = {
                             "--bp-limiter"],
     "pme-1d-m8": ["--problem", "pme-1d-m8", "--N", "40", "--T", "0.05",
                   "--bp-limiter"],
+    "2d-pme-m3-ms4": ["--problem", "2d-pme-m3", "--N", "16", "--T", "0.01",
+                      "--bp-limiter"],
     "2d-pme-m3-fe": ["--problem", "2d-pme-m3", "--integrator", "fe", "--N", "16",
                      "--T", "0.01", "--bp-limiter"],
     "2d-convdiff-fe": ["--problem", "2d-convdiff", "--integrator", "fe",
