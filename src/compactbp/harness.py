@@ -51,6 +51,12 @@ class RunConfig:
     def __post_init__(self):
         if self.order not in (4, 6, 8):
             raise ValueError("order must be 4, 6 or 8")
+        # the 4th- and 8th-order coefficients are fixed; only order 6 has a
+        # family parameter to choose
+        for name in ("alpha1", "alpha2"):
+            if getattr(self, name) is not None and self.order != 6:
+                raise ValueError(f"{name} selects a 6th-order scheme; "
+                                 f"order {self.order} takes no family parameter")
         IntegratorSpec(self.integrator)  # rejects an unknown method
         if self.dt_scale not in ("cfl", "dx2"):
             raise ValueError("dt_scale must be 'cfl' or 'dx2'")

@@ -180,54 +180,83 @@ def _sawtooth_sets(line, bounds, periodic):
     return sets, False
 
 
-def _transfer(U, V, src, lower, lo, hi, tol, ends, shape, axis):
-    """Three-point transfer from every isolated source, all lines at once.
+def _transfer(U, V, sides, sets, lo, hi, tol, ends, shape, axis):
+    """Three-point transfers from every isolated source, all bounds at once.
 
-    Ratios are frozen on the input ``U`` and sources end exactly on the
-    bound.  An out-of-range neighbour has no headroom, so sources never
-    feed each other and each neighbour takes the shares of its two
-    sources in the order a sweep in increasing index would give them.
-    Shares are signed (positive for the lower bound) and subtracted from
-    the neighbours.  Returns the shares leaving through the two ends,
+    ``sides`` lists the bounds with excursions (True for the lower one);
+    their out-of-range points outside the sawtooth ``sets`` are the
+    sources.  Each source's excursion ``bound - U`` goes to its two
+    neighbours in the ratio of their headrooms on ``U``; an out-of-range
+    neighbour has none, so sources never feed each other.  ``V`` gets
+    ``U`` minus the shares, each neighbour taking its shares in the order
+    a sweep in increasing index, over the lower and then over the upper
+    sources, would give them; the sources themselves are left to the
+    caller.  Returns the shares leaving through the two ends of each line,
     which only a segment with fixed end values has.
     """
-    bound = lo if lower else hi
-
-    def room(x):
-        return np.maximum(x - lo, 0.0) if lower else np.maximum(hi - x, 0.0)
-
-    heads = room(U)
+    n, lines = U.shape
+    # the signed distance of every point from each bound, positive inside,
+    # splits into the headroom (its positive part, with a row beyond each
+    # end) and the amount bound - U (the rest: +0.0 on and inside the bound)
+    heads = np.empty((len(sides), n + 2, lines))
+    amount = np.empty((len(sides), n, lines))
+    for a, lower in zip(amount, sides):
+        np.subtract(U, lo, out=a) if lower else np.subtract(hi, U, out=a)
+    np.maximum(amount, 0.0, out=heads[:, 1:-1])
+    deep = amount < -tol  # excursions beyond the slack, from the distances
+    for a, h, lower in zip(amount, heads, sides):
+        np.subtract(h[1:-1], a, out=a) if lower else np.subtract(a, h[1:-1], out=a)
     if ends is None:
-        first, last = heads[-1], heads[0]
+        heads[:, 0], heads[:, -1] = heads[:, -2], heads[:, 1]
     elif isinstance(ends, str):
-        first = last = np.zeros(U.shape[1])
+        heads[:, 0] = heads[:, -1] = 0.0
     else:
-        first, last = (np.full(U.shape[1], room(float(e))) for e in ends)
-    heads = np.concatenate((first[None], heads, last[None]))
-    h_left, h_right = heads[:-2], heads[2:]
+        for h, lower in zip(heads, sides):
+            h[0], h[-1] = (np.maximum(e - lo if lower else hi - e, 0.0) for e in ends)
+    for k, idx in sets:
+        amount[:, idx, k] = 0.0
+        deep[:, idx, k] = False
+    h_left, h_right = heads[:, :-2], heads[:, 2:]
     total = h_left + h_right
-    amount = np.where(src, bound - U, 0.0)
-    ok = total > _TINY
-    stuck = src & ~ok & (np.abs(amount) > tol)
-    if stuck.any():
-        i, a = _first(stuck, amount, shape, axis)
-        raise RedistributionError(
-            f"no headroom to repair excursion of {abs(a):.3e} at index {i}")
-    amount[~ok] = 0.0
-    total[~ok] = 1.0
-    to_left = h_left / total * amount
-    to_right = h_right / total * amount
-    V[1:-1] -= to_right[:-2]
-    V[1:-1] -= to_left[2:]
-    if ends is None:
-        # at the wrap rows the right-hand source comes first in the sweep
-        V[0] = (V[0] - to_left[1]) - to_right[-1]
-        V[-1] = (V[-1] - to_left[0]) - to_right[-2]
-    elif len(V) > 1:
-        V[0] -= to_left[1]
-        V[-1] -= to_right[-2]
-    np.copyto(V, bound, where=src)
-    return to_left[0], to_right[-1]
+    if total.min() <= _TINY:
+        # a source without headroom on either side moves nothing and must
+        # be on its bound already; an infinite total gives it zero shares
+        flat = total <= _TINY
+        stuck = flat & deep
+        if stuck.any():
+            side = next(s for s in range(len(stuck)) if stuck[s].any())
+            i, a = _first(stuck[side], amount[side], shape, axis)
+            raise RedistributionError(
+                f"no headroom to repair excursion of {abs(a):.3e} at index {i}")
+        np.putmask(total, flat, np.inf)
+    to_left = np.divide(h_left, total)
+    to_left *= amount
+    to_right = np.divide(h_right, total, out=total)
+    to_right *= amount
+    if not sides[-1]:
+        # a negative amount times a zero headroom gives -0.0, which would
+        # turn a -0.0 neighbour into +0.0; a neighbour without headroom
+        # takes nothing, so its share is +0.0
+        to_left[-1] += 0.0
+        to_right[-1] += 0.0
+    inner = V[1:-1]
+    first, last = U[0], U[-1]
+    for side in range(len(sides)):
+        np.subtract(U[1:-1] if side == 0 else inner, to_right[side, :-2], out=inner)
+        inner -= to_left[side, 2:]
+        if ends is None:
+            # at the wrap rows the right-hand source comes first in the sweep
+            first = (first - to_left[side, 1]) - to_right[side, -1]
+            last = (last - to_left[side, 0]) - to_right[side, -2]
+        elif n > 1:
+            first = first - to_left[side, 1]
+            last = last - to_right[side, -2]
+    V[0], V[-1] = first, last
+    exits = 0.0
+    if ends is not None:
+        for side in range(len(sides)):
+            exits = exits + to_left[side, 0] + to_right[side, -1]
+    return exits
 
 
 def _rebalance_set(u, v, members, lo, hi, tol):
@@ -317,52 +346,68 @@ def _limit(u, bounds, c, axis, ends, means=None):
     if lo <= umin and umax <= hi:
         return u.copy(order="K"), LimiterReport()
     report = LimiterReport()
+    # shifted row slices of a C-ordered array collapse into one flat loop;
+    # the result goes back in the caller's memory order
+    layout, U = U, np.ascontiguousarray(U)
     periodic = ends is None
-    over = U > hi
-    under = U < lo
+    n = U.shape[0]
+    # the bounds with excursions (True for the lower one) and their sources
+    sides = [lower for lower, out in ((True, umin < lo), (False, umax > hi)) if out]
+    sources = [U < lo if lower else U > hi for lower in sides]
 
     # lines with an overshoot next to an undershoot (or, periodic, without
     # an in-range point) have sawtooth sets; their members are no sources
-    sources = over | under
-    mixed = sources.all(axis=0) if periodic else np.zeros(U.shape[1], dtype=bool)
-    if umax > hi and umin < lo:
-        mixed |= ((over[1:] & under[:-1]) | (under[1:] & over[:-1])).any(axis=0)
+    mixed = np.zeros(U.shape[1], dtype=bool)
+    out = sources[0] if len(sources) == 1 else sources[0] | sources[1]
+    if periodic and np.count_nonzero(out) >= n:
+        mixed |= out.all(axis=0)
+    if len(sides) == 2:
+        under, over = sources
+        touch = (over[1:] & under[:-1]) | (under[1:] & over[:-1])
+        if touch.any():
+            mixed |= touch.any(axis=0)
         if periodic:
             mixed |= (over[0] & under[-1]) | (under[0] & over[-1])
     sets = []
-    for k in np.flatnonzero(mixed):
+    for k in mixed.nonzero()[0]:
         members, whole = _sawtooth_sets(U[:, k], bounds, periodic)
         report.whole_circle_fallback |= whole
         for idx in members:
-            sources[idx, k] = False
             sets.append((k, idx))
+            for src in sources:
+                src[idx, k] = False
 
-    V = U.copy(order="K")
-    exits = 0.0
-    for lower, side in ((True, under), (False, over)):
-        src = side & sources
-        if src.any():
-            left, right = _transfer(U, V, src, lower, lo, hi, tol, ends, shape, axis)
-            if not periodic:
-                exits = exits + left + right
+    V = np.empty_like(U)
+    exits = _transfer(U, V, sides, sets, lo, hi, tol, ends, shape, axis)
+    for lower, src in zip(sides, sources):
+        np.putmask(V, src, lo if lower else hi)
     for k, idx in sets:
         _rebalance_set(U[:, k], V[:, k], idx, lo, hi, tol)
     report.sawtooth_count = len(sets)
     report.rebalance_used = bool(sets)
 
-    # clip round-off residue onto the bounds
-    for stray, bound, name in ((V < lo, lo, "below lower"), (V > hi, hi, "above upper")):
-        if stray.any():
-            worst = float(np.abs(V[stray] - bound).max())
+    # clip round-off residue onto the bounds; transfers toward one bound
+    # only move points toward it, so only a rebalance can pass the other
+    for lower in (True, False) if sets else sides:
+        worst = lo - V.min() if lower else V.max() - hi
+        if worst > 0.0:
             if worst > max(tol, _TINY):
+                name = "below lower" if lower else "above upper"
                 raise RedistributionError(f"output {name} bound by {worst:.3e}")
-            V[stray] = bound
-    report.modified_count = int(np.count_nonzero(V != U))
+            V[V < lo if lower else V > hi] = lo if lower else hi
+    d = V - U
+    report.modified_count = int(np.count_nonzero(d != 0.0))
+    residual = np.ones(len(d)) @ d  # per-line sums, as one BLAS product
+    if not periodic:
+        report.boundary_exchange = float(np.sum(exits))
+        residual -= exits
+    report.conservation_residual = float(np.abs(residual).sum())
     if report.modified_count:
-        report.max_displacement = float(np.abs(V - U).max())
-    report.boundary_exchange = float(np.sum(exits))
-    report.conservation_residual = float(
-        np.abs(V.sum(axis=0) - U.sum(axis=0) - exits).sum())
+        report.max_displacement = float(np.abs(d, out=d).max())
+    if U is not layout:
+        layout = np.empty_like(layout)
+        layout[...] = V
+        V = layout
     return V.reshape(shape).swapaxes(0, axis), report
 
 

@@ -96,6 +96,14 @@ def _dxx_central(f, axis):
     return out
 
 
+def _evaluate_pair(fx, fy, u):
+    """``fx(u)`` and ``fy(u)`` (None for a missing function), one call when
+    both directions share the function."""
+    vx = None if fx is None else fx(u)
+    vy = vx if fy is fx else None if fy is None else fy(u)
+    return vx, vy
+
+
 def max_stable_dt_2d(problem: Problem2D, dx: float, dy: float) -> float:
     """Weak-monotonicity forward-Euler step for the tensorized 4th-order schemes.
 
@@ -164,17 +172,19 @@ class PeriodicScheme2D(Scheme):
         of the point-value update.
         """
         p, ctx = self.problem, self.ctx
+        f, g = _evaluate_pair(p.flux_x, p.flux_y, u)
+        a, b = _evaluate_pair(p.diffusion_x, p.diffusion_y, u)
         out = 0.0
         conv_terms = []
-        if p.flux_x is not None:
-            conv_terms.append((_dx_central(p.flux_x(u), 0) / ctx.dx, 1))
-        if p.flux_y is not None:
-            conv_terms.append((_dx_central(p.flux_y(u), 1) / ctx.dy, 0))
+        if f is not None:
+            conv_terms.append((_dx_central(f, 0) / ctx.dx, 1))
+        if g is not None:
+            conv_terms.append((_dx_central(g, 1) / ctx.dy, 0))
         diff_terms = []
-        if p.diffusion_x is not None:
-            diff_terms.append((_dxx_central(p.diffusion_x(u), 0) / ctx.dx ** 2, 1))
-        if p.diffusion_y is not None:
-            diff_terms.append((_dxx_central(p.diffusion_y(u), 1) / ctx.dy ** 2, 0))
+        if a is not None:
+            diff_terms.append((_dxx_central(a, 0) / ctx.dx ** 2, 1))
+        if b is not None:
+            diff_terms.append((_dxx_central(b, 1) / ctx.dy ** 2, 0))
         has_diff = self.mode in ("diffusion", "convdiff")
         has_conv = self.mode in ("convection", "convdiff")
         for term, other_axis in conv_terms:

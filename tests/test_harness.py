@@ -65,6 +65,11 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="dx2"):
             RunConfig(problem=problem, dt_scale="dx2")
 
+    @pytest.mark.parametrize("flag", ["alpha1", "alpha2"])
+    def test_family_parameter_accepted_at_order_6(self, flag):
+        cfg = RunConfig(problem="linadv-sin4", order=6, n=20, **{flag: 0.4})
+        build_scheme(cfg, cfg.n)
+
     def test_tvb_rejected_on_2d_problems(self):
         with pytest.raises(ValueError, match="periodic 1D"):
             RunConfig(problem="2d-linadv", tvb=5.0)
@@ -285,6 +290,9 @@ class TestCli:
         (["solve", "--problem", "linadv-sin4", "--N", "20", "--T", "nan"], "got T = nan"),
         (["study", "--problem", "linadv-sin4", "--refine", "0,20", "--T", "0.05"],
          "got N = 0"),
+        *((["solve", "--problem", "linadv-sin4", "--order", order, "--N", "20",
+            "--T", "0.1", f"--{flag}", "0.4"], f"{flag} selects a 6th-order scheme")
+          for flag in ("alpha1", "alpha2") for order in ("4", "8")),
     ])
     def test_bad_input_is_one_line_on_stderr(self, capsys, argv, message):
         assert main(argv) == 2

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import limiter_oracle as oracle
-from compactbp.limiters import (Bounds, WeakMonotonicityError, limit_bounds,
-                                limit_bounds_segment)
+from compactbp.limiters import (Bounds, RedistributionError, WeakMonotonicityError,
+                                limit_bounds, limit_bounds_segment)
 from compactbp.operators import WeightOperator, apply_weighting, solve_weighting
 from compactbp.problems import builtin
 from compactbp.schemes2d import PeriodicScheme2D, Problem2D, StepContext2D
@@ -153,6 +153,65 @@ class TestMatchesOracle:
             got, _ = limit_bounds(u, UNIT, 2.5)
             assert same_bits(got, want)
         assert hit > 20
+
+    def test_zero_headroom_neighbour_keeps_its_sign(self):
+        # the upper bound is 0 and the source 0.1 has a -0.0 neighbour: that
+        # neighbour has no headroom, takes no share and stays -0.0
+        u = np.array([-0.5, -0.0, 0.1, -0.5])
+        bounds = Bounds(-1.0, 0.0)
+        for kw in ({}, dict(edge_rows=True), dict(left=-0.5, right=-0.5)):
+            if kw:
+                want, _ = oracle.limit_bounds_segment(u, bounds, 4.0, **kw)
+                got, _ = limit_bounds_segment(u, bounds, 4.0, **kw)
+            else:
+                want, _ = oracle.limit_bounds(u, bounds, 4.0)
+                got, _ = limit_bounds(u, bounds, 4.0)
+            assert np.signbit(want[1]) and same_bits(got, want)
+
+    def test_source_without_headroom(self):
+        # an excursion just past the slack between two points on the bound:
+        # the means are admissible, but no neighbour can take it
+        u = np.array([0.5, 0.0, -1.2e-12, 0.0, 0.5])
+        message = "no headroom to repair excursion of 1.200e-12 at index 2"
+        assert _outcome(limit_bounds, u, UNIT, 4.0)[1] == message
+        assert _outcome(oracle.limit_bounds, u, UNIT, 4.0)[1] == message
+        field = np.full((3, 5), 0.5)
+        field[1] = u
+        with pytest.raises(RedistributionError, match=r"at index \(1, 2\)"):
+            limit_bounds(field, UNIT, 4.0, axis=1)
+
+    def test_as_many_excursions_as_line_points(self):
+        # n out-of-range points spread over several lines: no line is
+        # without an in-range point
+        rng = np.random.default_rng(20)
+        n, c = 8, 2.5
+        lines = []
+        while len(lines) < 4:
+            line = admissible(rng, n, UNIT, c)
+            if out_of_range(line, UNIT).sum() == 2:
+                lines.append(line)
+        u = np.stack(lines + [np.full(n, 0.5)], axis=1)
+        assert out_of_range(u, UNIT).sum() == n
+        for axis, field in ((0, u), (1, u.T)):
+            want, want_rep = oracle.limit_lines(field, UNIT, c, axis)
+            got, rep = limit_bounds(field, UNIT, c, axis=axis)
+            assert same_bits(got, want)
+            assert rep.modified_count == want_rep.modified_count
+            assert rep.sawtooth_count == want_rep.sawtooth_count
+            assert not (rep.whole_circle_fallback or want_rep.whole_circle_fallback)
+
+    def test_one_line_out_of_range_everywhere(self):
+        # alternating 1.1/-0.1 has c=4 means 0.7/0.3: one whole-circle line
+        rng = np.random.default_rng(21)
+        u = admissible(rng, (8, 5), UNIT, 4.0)
+        u[:, 2] = np.tile([1.1, -0.1], 4)
+        for axis, field in ((0, u), (1, u.T)):
+            want, want_rep = oracle.limit_lines(field, UNIT, 4.0, axis)
+            got, rep = limit_bounds(field, UNIT, 4.0, axis=axis)
+            assert same_bits(got, want)
+            assert rep.modified_count == want_rep.modified_count
+            assert rep.sawtooth_count == want_rep.sawtooth_count
+            assert rep.whole_circle_fallback and want_rep.whole_circle_fallback
 
     def test_edge_row_segments(self):
         rng = np.random.default_rng(14)
@@ -446,3 +505,82 @@ def test_2d_sweep_order(nx, ny, bounds, seed):
         u, _ = convection_scheme(bounds).recover(oriented(q, order))
         assert u.min() >= bounds.lower and u.max() <= bounds.upper
         assert abs(u.sum() - q.sum()) <= 1e-13 * q.size * scale(bounds)
+
+
+def _segment_matrix(n, c, edge_rows):
+    """The c-weighting of a segment: two-point end rows, or three-point rows
+    completed by fixed end values (whose terms the caller adds)."""
+    A = (np.diag(np.full(n, c)) + np.diag(np.ones(n - 1), 1)
+         + np.diag(np.ones(n - 1), -1)) / (c + 2)
+    if edge_rows:
+        A[0, :2] = [c / (c + 1), 1 / (c + 1)]
+        A[-1, -2:] = [1 / (c + 1), c / (c + 1)]
+    return A
+
+
+@st.composite
+def lines_with_signed_zeros(draw):
+    """An admissible line under one end treatment, with +0.0 or -0.0 put at
+    some in-range points: (u, bounds, c, ends), ``ends`` None (periodic),
+    ``"edge"`` or the pair of fixed end values."""
+    c = draw(st.sampled_from([2.5, 4.0, 10.0]))
+    bounds = draw(st.sampled_from([UNIT, Bounds(-1.0, 0.0)]))
+    lo, hi = bounds.span
+    ends = draw(st.sampled_from([None, "edge", "fixed"]))
+    n = draw(st.integers(3 if ends is None else 2, 16))
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(lo, hi))
+    if ends == "fixed":
+        ends = (draw(value), draw(value))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    means = lo + (hi - lo) * np.array(fractions)
+    if ends is None:
+        def means_of(x):
+            return apply_weighting(WeightOperator(c), x)
+        u = solve_weighting(WeightOperator(c), means)
+    else:
+        A = _segment_matrix(n, c, edge_rows=ends == "edge")
+        beyond = np.zeros(n)
+        if ends != "edge":
+            beyond[0], beyond[-1] = ends[0] / (c + 2), ends[-1] / (c + 2)
+
+        def means_of(x):
+            return A @ x + beyond
+        u = np.linalg.solve(A, means - beyond)
+    slack = bounds.tol / 2
+    for i, negative in draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()),
+                                     max_size=n)):
+        trial = u.copy()
+        trial[i] = -0.0 if negative else 0.0
+        m = means_of(trial)
+        if lo <= u[i] <= hi and m.min() >= lo - slack and m.max() <= hi + slack:
+            u = trial
+    return u, bounds, c, ends
+
+
+def _outcome(limit, *args, **kwargs):
+    """``limit``'s result, or the message of its RedistributionError."""
+    try:
+        return limit(*args, **kwargs), None
+    except RedistributionError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines_with_signed_zeros())
+def test_matches_oracle_with_signed_zeros(case):
+    u, bounds, c, ends = case
+    if ends is None:
+        core, reference, kw = limit_bounds, oracle.limit_bounds, {}
+    else:
+        core, reference = limit_bounds_segment, oracle.limit_bounds_segment
+        kw = dict(edge_rows=True) if ends == "edge" else dict(left=ends[0], right=ends[1])
+    want, want_error = _outcome(reference, u, bounds, c, **kw)
+    got, error = _outcome(core, u, bounds, c, **kw)
+    # a sawtooth run with the fixed end values beyond it can hold more mass
+    # than its members can take: both limiters refuse it alike
+    assert error == want_error
+    if want is not None:
+        (v, rep), (want_v, want_rep) = got, want
+        assert same_bits(v, want_v)
+        assert rep.modified_count == want_rep.modified_count
+        assert rep.sawtooth_count == want_rep.sawtooth_count

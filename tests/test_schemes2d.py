@@ -191,3 +191,32 @@ def test_central_differences_match_roll_form():
             for out, ref in ((_dx_central(arr, axis), dx_ref), (_dxx_central(arr, axis), dxx_ref)):
                 assert out.strides == ref.strides
                 assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
+
+class TestSharedCoefficients:
+    """``rhs_means`` evaluates a function shared by both directions once."""
+
+    @staticmethod
+    def _counting(calls, name):
+        def coefficient(u):
+            calls.append(name)
+            return np.maximum(u, 0.0) ** 3
+        return coefficient
+
+    def _scheme(self, **functions):
+        prob = Problem2D(name="count", x_lo=0.0, x_hi=1.0, y_lo=0.0, y_hi=1.0,
+                         bounds=Bounds(0.0, 1.0), initial=lambda x, y: 0.5 + 0 * x,
+                         max_aprime=3.0, max_bprime=3.0, **functions)
+        return PeriodicScheme2D(prob, StepContext2D(0.1, 0.1))
+
+    def test_shared_function_is_evaluated_once(self):
+        u = np.random.default_rng(22).uniform(0.0, 1.0, (10, 12))
+        calls = []
+        shared = self._counting(calls, "a")
+        got = self._scheme(diffusion_x=shared, diffusion_y=shared).rhs_means(u)
+        assert calls == ["a"]
+        calls.clear()
+        want = self._scheme(diffusion_x=self._counting(calls, "a"),
+                            diffusion_y=self._counting(calls, "b")).rhs_means(u)
+        assert sorted(calls) == ["a", "b"]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
