@@ -352,15 +352,15 @@ def _limit(u, bounds, c, axis, ends, means=None):
     periodic = ends is None
     n = U.shape[0]
     # the bounds with excursions (True for the lower one) and their sources
-    sides = [lower for lower, out in ((True, umin < lo), (False, umax > hi)) if out]
+    sides = [lower for lower, past in ((True, umin < lo), (False, umax > hi)) if past]
     sources = [U < lo if lower else U > hi for lower in sides]
 
     # lines with an overshoot next to an undershoot (or, periodic, without
     # an in-range point) have sawtooth sets; their members are no sources
     mixed = np.zeros(U.shape[1], dtype=bool)
-    out = sources[0] if len(sources) == 1 else sources[0] | sources[1]
-    if periodic and np.count_nonzero(out) >= n:
-        mixed |= out.all(axis=0)
+    outside = sources[0] if len(sources) == 1 else sources[0] | sources[1]
+    if periodic and np.count_nonzero(outside) >= n:
+        mixed |= outside.all(axis=0)
     if len(sides) == 2:
         under, over = sources
         touch = (over[1:] & under[:-1]) | (under[1:] & over[:-1])
@@ -405,9 +405,9 @@ def _limit(u, bounds, c, axis, ends, means=None):
     if report.modified_count:
         report.max_displacement = float(np.abs(d, out=d).max())
     if U is not layout:
-        layout = np.empty_like(layout)
-        layout[...] = V
-        V = layout
+        result = np.empty_like(layout)
+        result[...] = V
+        V = result
     return V.reshape(shape).swapaxes(0, axis), report
 
 

@@ -43,16 +43,31 @@ def out_of_range(u, bounds):
     return (u < bounds.lower) | (u > bounds.upper)
 
 
+def limiter_and_oracle(ends):
+    """The core limiter, its oracle and their keywords for one end treatment:
+    ``ends`` None (periodic), ``"edge"`` or the pair of fixed end values."""
+    if ends is None:
+        return limit_bounds, oracle.limit_bounds, {}
+    kw = dict(edge_rows=True) if ends == "edge" else dict(left=ends[0], right=ends[1])
+    return limit_bounds_segment, oracle.limit_bounds_segment, kw
+
+
+def _segment_matrix(n, c, edge_rows):
+    """The c-weighting of a segment: two-point end rows, or three-point rows
+    completed by fixed end values (whose terms the caller adds)."""
+    A = (np.diag(np.full(n, c)) + np.diag(np.ones(n - 1), 1)
+         + np.diag(np.ones(n - 1), -1)) / (c + 2)
+    if edge_rows:
+        A[0, :2] = [c / (c + 1), 1 / (c + 1)]
+        A[-1, -2:] = [1 / (c + 1), c / (c + 1)]
+    return A
+
+
 def edge_row_field_with_means(rng, n, c):
     """Point values whose two-point end rows and interior means are in [0, 1],
     and those means."""
-    A = np.zeros((n, n))
-    for i in range(1, n - 1):
-        A[i, i - 1:i + 2] = np.array([1, c, 1]) / (c + 2)
-    A[0, :2] = [c / (c + 1), 1 / (c + 1)]
-    A[-1, -2:] = [1 / (c + 1), c / (c + 1)]
     means = rng.uniform(0, 1, n)
-    return np.linalg.solve(A, means), means
+    return np.linalg.solve(_segment_matrix(n, c, edge_rows=True), means), means
 
 
 def edge_row_field(rng, n, c):
@@ -67,9 +82,7 @@ def fixed_end_field_with_means(rng, n, c, ends=None):
     rhs = means.copy()
     rhs[0] -= left / (c + 2)
     rhs[-1] -= right / (c + 2)
-    A = (np.diag(np.full(n, c)) + np.diag(np.ones(n - 1), 1)
-         + np.diag(np.ones(n - 1), -1)) / (c + 2)
-    return np.linalg.solve(A, rhs), left, right, means
+    return np.linalg.solve(_segment_matrix(n, c, edge_rows=False), rhs), left, right, means
 
 
 def fixed_end_field(rng, n, c, ends=None):
@@ -158,14 +171,10 @@ class TestMatchesOracle:
         # the upper bound is 0 and the source 0.1 has a -0.0 neighbour: that
         # neighbour has no headroom, takes no share and stays -0.0
         u = np.array([-0.5, -0.0, 0.1, -0.5])
-        bounds = Bounds(-1.0, 0.0)
-        for kw in ({}, dict(edge_rows=True), dict(left=-0.5, right=-0.5)):
-            if kw:
-                want, _ = oracle.limit_bounds_segment(u, bounds, 4.0, **kw)
-                got, _ = limit_bounds_segment(u, bounds, 4.0, **kw)
-            else:
-                want, _ = oracle.limit_bounds(u, bounds, 4.0)
-                got, _ = limit_bounds(u, bounds, 4.0)
+        for ends in (None, "edge", (-0.5, -0.5)):
+            core, reference, kw = limiter_and_oracle(ends)
+            want, _ = reference(u, Bounds(-1.0, 0.0), 4.0, **kw)
+            got, _ = core(u, Bounds(-1.0, 0.0), 4.0, **kw)
             assert np.signbit(want[1]) and same_bits(got, want)
 
     def test_source_without_headroom(self):
@@ -507,17 +516,6 @@ def test_2d_sweep_order(nx, ny, bounds, seed):
         assert abs(u.sum() - q.sum()) <= 1e-13 * q.size * scale(bounds)
 
 
-def _segment_matrix(n, c, edge_rows):
-    """The c-weighting of a segment: two-point end rows, or three-point rows
-    completed by fixed end values (whose terms the caller adds)."""
-    A = (np.diag(np.full(n, c)) + np.diag(np.ones(n - 1), 1)
-         + np.diag(np.ones(n - 1), -1)) / (c + 2)
-    if edge_rows:
-        A[0, :2] = [c / (c + 1), 1 / (c + 1)]
-        A[-1, -2:] = [1 / (c + 1), c / (c + 1)]
-    return A
-
-
 @st.composite
 def lines_with_signed_zeros(draw):
     """An admissible line under one end treatment, with +0.0 or -0.0 put at
@@ -569,11 +567,7 @@ def _outcome(limit, *args, **kwargs):
 @given(lines_with_signed_zeros())
 def test_matches_oracle_with_signed_zeros(case):
     u, bounds, c, ends = case
-    if ends is None:
-        core, reference, kw = limit_bounds, oracle.limit_bounds, {}
-    else:
-        core, reference = limit_bounds_segment, oracle.limit_bounds_segment
-        kw = dict(edge_rows=True) if ends == "edge" else dict(left=ends[0], right=ends[1])
+    core, reference, kw = limiter_and_oracle(ends)
     want, want_error = _outcome(reference, u, bounds, c, **kw)
     got, error = _outcome(core, u, bounds, c, **kw)
     # a sawtooth run with the fixed end values beyond it can hold more mass
