@@ -16,7 +16,7 @@ from .operators import (CoefficientDomainError, CoefficientSet, DiffStencil,
                         second_derivative_coefficients, solve_weighting)
 from .schemes1d import (CflError, PeriodicScheme1D, Problem1D, Scheme,
                         StepContext, max_stable_dt, periodic_grid)
-from .schemes2d import PeriodicScheme2D, Problem2D, StepContext2D, max_stable_dt_2d
+from .schemes2d import PeriodicScheme2D, Problem2D, StepContext2D
 from .boundary import (DirichletConvDiffScheme, InflowOutflowScheme,
                        outflow_extrapolate)
 from .problems import BUILTIN_IDS, barenblatt, builtin

@@ -18,8 +18,6 @@ boundary exchange (they are part of the physical boundary flux).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 # Unused, but kept bound: the benchmark's tracer (solverbench/tracing.py)
 # wraps ``boundary.solve_banded`` by name and raises KeyError without it.
@@ -34,9 +32,30 @@ from .schemes1d import Problem1D, Scheme, StepContext, check_grid_size
 #: to 1 but are not a convex combination, hence the clamp).
 OUTFLOW_WEIGHTS = (-2.0 / 3.0, 17.0 / 6.0, -14.0 / 3.0, 7.0 / 2.0)
 
-# Weak-monotonicity CFL constants of the one-sided third-order end rows.
-DIRICHLET_CONVECTION_CFL = 4.0 / 19.0
-DIRICHLET_DIFFUSION_CFL = 695.0 / 1596.0
+
+def _read_only_row(row: tuple) -> np.ndarray:
+    """``row`` as a float array that cannot be written to."""
+    a = np.array(row, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+# Banded rows of the Dirichlet mean update.  The MEAN_* rows map the N+2
+# state to N interior weighted means; the *_FIRST end rows embed the
+# one-sided third-order flux-derivative closure.  The DX_* rows carry the
+# conservation-form minus sign already.  The end rows are read-only arrays
+# (dotted with the end values); the interior rows stay tuples of Python
+# floats, which multiply arrays faster than NumPy scalars do.  The
+# reconstruction weighting factors as an N x N tridiagonal with modified
+# corner rows (c = 10 inside, two-point end rows (CORNER_WEIGHT,
+# 1 - CORNER_WEIGHT)) times the plain rectangular (1, 4, 1)/6 weighting.
+MEAN_FIRST = _read_only_row((4 / 60, 41 / 60, 14 / 60, 1 / 60))
+MEAN_INTERIOR = (1 / 72, 14 / 72, 42 / 72, 14 / 72, 1 / 72)
+DX_FIRST = _read_only_row((19 / 60, 21 / 60, -39 / 60, -1 / 60))
+DX_INTERIOR = (1 / 24, 10 / 24, 0.0, -10 / 24, -1 / 24)
+DXX_FIRST = _read_only_row((4 / 5, -7 / 5, 2 / 5, 1 / 5))
+DXX_INTERIOR = (1 / 6, 2 / 6, -6 / 6, 2 / 6, 1 / 6)
+CORNER_WEIGHT = 10.0 / 11.0
 
 
 def outflow_extrapolate(means_tail, bounds: Bounds) -> float:
@@ -64,8 +83,8 @@ class InflowOutflowScheme(Scheme):
     """4th-order convection scheme with inflow at the left, outflow right.
 
     Requires ``f' >= 0`` on the invariant interval so the left boundary
-    condition is well posed; the admissible forward-Euler step is
-    ``dx / (3 max f')``.
+    condition is well posed; the admissible forward-Euler step is the
+    interior one, ``dx / (3 max f')``.
     """
 
     def __init__(self, problem: Problem1D, ctx: StepContext, *,
@@ -83,14 +102,10 @@ class InflowOutflowScheme(Scheme):
         # the outflow value extrapolates the last four interior means
         check_grid_size(problem, n, 4)
         super().__init__(problem, ctx, n, bp_limit)
+        self.cfl = (ctx.cs1.cfl_factor, ctx.cs2.cfl_factor)
 
     def _coordinates(self, n):
         return (self.problem.x_lo + self.ctx.dx * np.arange(n + 2),)
-
-    def admissible_dt_fe(self) -> float:
-        if self.problem.max_fprime == 0.0:
-            return np.inf
-        return self.ctx.dx / (3.0 * self.problem.max_fprime)
 
     def means(self, u: np.ndarray) -> np.ndarray:
         return (u[:-2] + 4.0 * u[1:-1] + u[2:]) / 6.0
@@ -115,34 +130,6 @@ class InflowOutflowScheme(Scheme):
             interior, report = limit_bounds_segment(
                 interior, bounds, 4.0, left=u_left, right=u_right, means=q)
         return np.concatenate(([u_left], interior, [u_right])), report
-
-
-@dataclass(frozen=True)
-class DirichletOperators:
-    """Banded rows of the Dirichlet mean update and its recovery chain.
-
-    ``mean_*`` rows map the N+2 state to N interior weighted means (the
-    end rows embed the one-sided third-order flux-derivative closure);
-    the reconstruction weighting factors as an N x N tridiagonal with
-    modified corner rows (c = 10 inside, two-point end rows) times the
-    plain rectangular (1, 4, 1)/6 weighting.
-    """
-
-    mean_first: tuple = (4 / 60, 41 / 60, 14 / 60, 1 / 60)
-    mean_interior: tuple = (1 / 72, 14 / 72, 42 / 72, 14 / 72, 1 / 72)
-    # flux rows carry the conservation-form minus sign already
-    dx_first: tuple = (19 / 60, 21 / 60, -39 / 60, -1 / 60)
-    dx_interior: tuple = (1 / 24, 10 / 24, 0.0, -10 / 24, -1 / 24)
-    dxx_first: tuple = (4 / 5, -7 / 5, 2 / 5, 1 / 5)
-    dxx_interior: tuple = (1 / 6, 2 / 6, -6 / 6, 2 / 6, 1 / 6)
-    corner_weight: float = 10.0 / 11.0
-
-
-def _read_only_row(row: tuple) -> np.ndarray:
-    """``row`` as a float array that cannot be written to."""
-    a = np.array(row, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 def _banded_end_aware(first_row, interior_row, values, mirror_sign):
@@ -177,11 +164,9 @@ class DirichletConvDiffScheme(Scheme):
     with the end data moved to the right-hand side, limit at c = 4.
     """
 
-    rows = DirichletOperators()
-    # the one-sided end rows as arrays, converted once
-    mean_first = _read_only_row(rows.mean_first)
-    dx_first = _read_only_row(rows.dx_first)
-    dxx_first = _read_only_row(rows.dxx_first)
+    # weak-monotonicity constants of the one-sided end rows; they hold
+    # jointly, so combined convection-diffusion takes their minimum
+    cfl = (4.0 / 19.0, 695.0 / 1596.0)
 
     def __init__(self, problem: Problem1D, ctx: StepContext, *,
                  n: int | None = None, bp_limit: bool = True):
@@ -198,35 +183,24 @@ class DirichletConvDiffScheme(Scheme):
     def _coordinates(self, n):
         return (self.problem.x_lo + self.ctx.dx * np.arange(n + 2),)
 
-    def admissible_dt_fe(self) -> float:
-        limits = []
-        if self.problem.has_convection and self.problem.max_fprime > 0:
-            limits.append(DIRICHLET_CONVECTION_CFL * self.ctx.dx
-                          / self.problem.max_fprime)
-        if self.problem.has_diffusion and self.problem.max_aprime > 0:
-            limits.append(DIRICHLET_DIFFUSION_CFL * self.ctx.dx ** 2
-                          / self.problem.max_aprime)
-        return min(limits) if limits else np.inf
-
     def means(self, u: np.ndarray) -> np.ndarray:
-        return _banded_end_aware(self.mean_first, self.rows.mean_interior,
-                                 u, mirror_sign=1.0)
+        return _banded_end_aware(MEAN_FIRST, MEAN_INTERIOR, u, mirror_sign=1.0)
 
     def rhs_means(self, u: np.ndarray, t: float = 0.0) -> np.ndarray:
         out = 0.0
         if self.problem.has_convection:
-            conv = _banded_end_aware(self.dx_first, self.rows.dx_interior,
+            conv = _banded_end_aware(DX_FIRST, DX_INTERIOR,
                                      self.problem.flux(u), mirror_sign=-1.0)
             out = out + conv / self.ctx.dx
         if self.problem.has_diffusion:
-            diff = _banded_end_aware(self.dxx_first, self.rows.dxx_interior,
+            diff = _banded_end_aware(DXX_FIRST, DXX_INTERIOR,
                                      self.problem.diffusion(u), mirror_sign=1.0)
             out = out + diff / self.ctx.dx ** 2
         return out
 
     def recover(self, q: np.ndarray, t: float) -> tuple[np.ndarray, LimiterReport]:
         bounds = self.bounds
-        kappa = self.rows.corner_weight
+        kappa = CORNER_WEIGHT
         u_left = _check_bc_value(self.problem.left_value(t), bounds, "left boundary")
         u_right = _check_bc_value(self.problem.right_value(t), bounds, "right boundary")
         w = np.asarray(q, dtype=float).copy()

@@ -127,9 +127,10 @@ def build_scheme(config: RunConfig, n: int):
         scheme = _scheme(problem, config, n)
         dt_fe = scheme.admissible_dt_fe()
         if config.dt_scale == "dx2":
-            # temporal-order verification: the convection step scales with dx^2
-            ctx = scheme.ctx
-            dt_fe = max_stable_dt(problem, ctx.dx, ctx.cs1, ctx.cs2, dx2_convection=True)
+            # temporal-order verification: the convection rate scales with 1/dx^2
+            _, diff_rate = scheme.cfl_rates()
+            dt_fe = max_stable_dt((problem.max_fprime / scheme.ctx.dx ** 2, diff_rate),
+                                  scheme.cfl)
         if config.dt_cap is not None:
             dt_fe = min(dt_fe, config.dt_cap)
         if not math.isfinite(dt_fe):

@@ -459,28 +459,30 @@ def limit_bounds_segment(u: np.ndarray, bounds: Bounds, c: float, *,
 
 
 # ---------------------------------------------------------------------------
-# Recovery through a chain of weightings
+# Recovery through weighting levels
 # ---------------------------------------------------------------------------
 
-def recover_point_values(means: np.ndarray, chain: tuple[float, ...], bounds: Bounds,
+def recover_point_values(means: np.ndarray, levels, bounds: Bounds,
                          limiting: bool) -> tuple[np.ndarray, LimiterReport]:
-    """Invert a factored weighting level by level, limiting after each solve.
+    """Invert weighting levels one at a time, limiting after each solve.
 
-    ``means`` are the fully weighted means (product of all chain levels
-    applied to the unknown point values); the chain lists the c-values
-    outermost first.  Each solve's right-hand side is the set of
+    ``means`` are the fully weighted means (the product of all levels
+    applied to the unknown point values); ``levels`` lists the ``(c, axis)``
+    weightings in solve order.  Each solve's right-hand side is the set of
     next-level weighted means of its solution, inside the bounds, so the
-    three-point limiter applies at exactly that c and checks those means.
-    With ``limiting`` false the levels are only solved.
+    three-point limiter applies at exactly that c, along that axis, and
+    checks those means.  The lines of one level touch disjoint data and
+    are limited in one batched call.  With ``limiting`` false the levels
+    are only solved.
     """
     x = np.asarray(means, dtype=float)
     report = None
-    for c in chain:
+    for c, axis in levels:
         weighting = WeightOperator(c)
         rhs = x
-        x = solve_weighting(weighting, rhs)
+        x = solve_weighting(weighting, rhs, axis=axis)
         if limiting:
-            x, rep = limit_bounds(x, bounds, weighting.c, means=rhs)
+            x, rep = limit_bounds(x, bounds, weighting.c, axis=axis, means=rhs)
             report = rep if report is None else report.merge(rep)
     return x, LimiterReport() if report is None else report
 

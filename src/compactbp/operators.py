@@ -338,11 +338,14 @@ def recovery_chain(coeffs: CoefficientSet) -> tuple[float, ...]:
     return (c_big, max(c_small, 2.0))  # guard round-off at the interval end
 
 
-def apply_weighting_chain(chain: tuple[float, ...], u: np.ndarray) -> np.ndarray:
-    """Apply the product of the chain's weightings (order irrelevant)."""
+def apply_levels(levels, u: np.ndarray) -> np.ndarray:
+    """Apply the weighting levels, ``(c, axis)`` pairs, in the given order.
+
+    The levels commute in exact arithmetic; their order fixes the round-off.
+    """
     out = np.asarray(u, dtype=float)
-    for c in chain:
-        out = apply_weighting(WeightOperator(c), out)
+    for c, axis in levels:
+        out = apply_weighting(WeightOperator(c), out, axis=axis)
     return out
 
 

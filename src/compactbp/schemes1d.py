@@ -2,7 +2,12 @@
 
 A scheme advances the weighted means of the point values with an explicit
 conservative update and recovers (optionally limiting) the point values by
-inverting the weighting chain.  :class:`Scheme` is the protocol every
+inverting its weighting levels.  Every periodic scheme, 1D or 2D, is a list
+of tridiagonal ``(1, c, 1)/(c+2)`` weighting levels, ``(c, axis)`` pairs,
+per term family (convection and diffusion): its means apply the levels,
+its right-hand side wraps each directional term in the levels it lacks
+(:func:`weighted_rhs`), and recovery solves and limits them one at a time
+(:func:`.limiters.recover_point_values`).  :class:`Scheme` is the protocol every
 scheme (1D, 2D and the non-periodic ones) shares: forward-Euler steps are
 exposed directly, and the SSP integrators of :mod:`.timeint` drive the
 same ``means`` / ``rhs_means`` / ``recover`` triple through convex
@@ -96,13 +101,6 @@ class Problem1D:
     def has_diffusion(self) -> bool:
         return self.diffusion is not None
 
-    def mode(self) -> str:
-        if self.has_convection and self.has_diffusion:
-            return "convdiff"
-        if self.has_diffusion:
-            return "diffusion"
-        return "convection"
-
 
 @dataclass(frozen=True)
 class StepContext:
@@ -112,8 +110,6 @@ class StepContext:
     accuracy_order: int
     cs1: ops.CoefficientSet
     cs2: ops.CoefficientSet
-    chain1: tuple[float, ...]
-    chain2: tuple[float, ...]
 
     @classmethod
     def create(cls, dx: float, accuracy_order: int = 4,
@@ -122,30 +118,61 @@ class StepContext:
             raise ValueError("dx must be positive")
         cs1 = ops.first_derivative_coefficients(accuracy_order, alpha1)
         cs2 = ops.second_derivative_coefficients(accuracy_order, alpha2)
-        return cls(dx, accuracy_order, cs1, cs2,
-                   ops.recovery_chain(cs1), ops.recovery_chain(cs2))
+        return cls(dx, accuracy_order, cs1, cs2)
 
 
-def max_stable_dt(problem, dx: float, cs1: ops.CoefficientSet,
-                  cs2: ops.CoefficientSet, *, dx2_convection: bool = False) -> float:
+def max_stable_dt(rates, cfl) -> float:
     """Largest forward-Euler step preserving weak monotonicity.
 
-    For combined convection-diffusion both single-equation constants are
-    halved (the update is the half-half convex splitting of the two pure
-    steps).  ``dx2_convection=True`` replaces the convection dx-scaling by
-    dx^2 for temporal-order verification runs.  With neither term active
-    the step is unbounded (inf).
+    ``rates`` are the convection and diffusion rates of a scheme, the sums
+    over the directions of ``max|f'|/h`` and ``max a'/h^2``, and ``cfl``
+    its two constants: the step keeps ``dt * rate <= constant`` for each
+    term.  A zero rate sets no limit, so with neither term active the
+    step is unbounded (inf).
     """
-    maxf = problem.max_fprime if problem.has_convection else 0.0
-    maxa = problem.max_aprime if problem.has_diffusion else 0.0
-    half = 0.5 if problem.mode() == "convdiff" else 1.0
-    limits = [math.inf]
-    if maxf > 0:
-        conv_dx = dx ** 2 if dx2_convection else dx
-        limits.append(half * cs1.cfl_factor * conv_dx / maxf)
-    if maxa > 0:
-        limits.append(half * cs2.cfl_factor * dx ** 2 / maxa)
-    return min(limits)
+    return min((c / r for r, c in zip(rates, cfl) if r > 0), default=math.inf)
+
+
+#: Term families of a scheme: convection terms (first derivatives of the
+#: flux, subtracted) and diffusion terms (second derivatives, added).
+CONVECTION, DIFFUSION = 0, 1
+
+
+def periodic_families(problem, cs1: ops.CoefficientSet, cs2: ops.CoefficientSet,
+                      axes: tuple[int, ...]):
+    """Weighting levels per term family and CFL constants of a periodic scheme.
+
+    A family's levels are ``(c, axis)`` pairs, one per factor of
+    ``recovery_chain`` along each axis, and empty when the problem lacks
+    the term.  With both terms present the mean update is the half-half
+    convex split of the two pure updates, so both constants are halved.
+    """
+    families = tuple(
+        tuple((c, axis) for c in ops.recovery_chain(cs) for axis in axes) if present else ()
+        for cs, present in ((cs1, problem.has_convection), (cs2, problem.has_diffusion)))
+    half = 0.5 if all(families) else 1.0
+    return families, (half * cs1.cfl_factor, half * cs2.cfl_factor)
+
+
+def weighted_rhs(terms, families):
+    """Time derivative of the weighted means from directional terms.
+
+    ``terms`` are ``(term, axis, family)``: a scaled difference of the
+    flux or of the diffusion function along ``axis``.  Each term is
+    wrapped in its own family's levels on the other axes, then in the
+    other family's levels, so that the sum (convection terms subtracted,
+    diffusion terms added) is the fully weighted image of the point-value
+    update.  With no term the derivative is 0.
+    """
+    out = None
+    for term, axis, family in terms:
+        own = tuple(level for level in families[family] if level[1] != axis)
+        q = ops.apply_levels(own + families[1 - family], term)
+        if family == CONVECTION:
+            out = -q if out is None else out - q
+        else:
+            out = q if out is None else out + q
+    return 0.0 if out is None else out
 
 
 class Scheme:
@@ -157,11 +184,12 @@ class Scheme:
     supplies only the problem-specific parts: ``means(u)`` (the weighted
     means of the point values), ``rhs_means(u, t)`` (their time
     derivative), ``recover(q, t)`` (point values from updated means,
-    limited when ``bp_limit`` is set), ``admissible_dt_fe()`` and
-    ``_coordinates(n)`` (the grid point
-    coordinates, one array per dimension).  The time step belongs to the
-    caller: one instance serves every ``dt`` and holds no mutable state,
-    so distinct refinement levels may run concurrently.
+    limited when ``bp_limit`` is set), ``cfl`` (the convection and
+    diffusion constants of :func:`max_stable_dt`) and ``_coordinates(n)``
+    (the grid point coordinates, one array per dimension); 2D schemes
+    also sum their rates over the directions in ``cfl_rates``.  The time
+    step belongs to the caller: one instance serves every ``dt`` and holds
+    no mutable state, so distinct refinement levels may run concurrently.
     """
 
     def __init__(self, problem, ctx, n, bp_limit: bool):
@@ -173,6 +201,16 @@ class Scheme:
     @property
     def bounds(self) -> Bounds:
         return self.problem.bounds
+
+    def cfl_rates(self) -> tuple[float, float]:
+        """``max|f'|/dx`` and ``max a'/dx^2``, 0 for a term the problem lacks."""
+        p, dx = self.problem, self.ctx.dx
+        return (p.max_fprime / dx if p.has_convection else 0.0,
+                p.max_aprime / dx ** 2 if p.has_diffusion else 0.0)
+
+    def admissible_dt_fe(self) -> float:
+        """Largest forward-Euler step that keeps the means in the bounds."""
+        return max_stable_dt(self.cfl_rates(), self.cfl)
 
     def grid(self) -> tuple[np.ndarray, ...]:
         """Coordinates of the grid points, one array per dimension."""
@@ -202,6 +240,7 @@ class PeriodicScheme1D(Scheme):
     ``bp_limit`` switches the bound-preserving limiter cascade on
     recovery; ``tvb_p`` (convection only, 4th order) replaces the plain
     flux differences by the TVB-limited flux with threshold ``p * dx^2``.
+    Recovery solves the diffusion levels first, then the convection ones.
     """
 
     def __init__(self, problem: Problem1D, ctx: StepContext, *,
@@ -220,43 +259,32 @@ class PeriodicScheme1D(Scheme):
         check_grid_size(problem, n, 3)
         super().__init__(problem, ctx, n, bp_limit)
         self.tvb_p = tvb_p
-        self.mode = problem.mode()
         self.stencil1 = ops.difference_stencil(ctx.cs1)
         self.stencil2 = ops.difference_stencil(ctx.cs2)
-        if self.mode == "convection":
-            self.chain = ctx.chain1
-        elif self.mode == "diffusion":
-            self.chain = ctx.chain2
-        else:
-            self.chain = ctx.chain2 + ctx.chain1
+        self.families, self.cfl = periodic_families(problem, ctx.cs1, ctx.cs2, (0,))
+        self.levels = self.families[DIFFUSION] + self.families[CONVECTION]
 
     def _coordinates(self, n):
         return (periodic_grid(self.problem, n)[0],)
 
-    def admissible_dt_fe(self) -> float:
-        return max_stable_dt(self.problem, self.ctx.dx, self.ctx.cs1, self.ctx.cs2)
-
     def means(self, u: np.ndarray) -> np.ndarray:
-        return ops.apply_weighting_chain(self.chain, u)
+        return ops.apply_levels(self.levels, u)
 
     def rhs_means(self, u: np.ndarray, t: float = 0.0) -> np.ndarray:
         """Time derivative of the weighted means at state ``u``."""
-        dx = self.ctx.dx
-        if self.mode == "convection":
-            if self.tvb_p is not None:
-                ubar = self.means(u)
-                fhat = tvb_flux(u, ubar, self.problem, dx, self.tvb_p)
-                return -flux_difference(fhat) / dx
-            return -self.stencil1.apply(self.problem.flux(u)) / dx
-        if self.mode == "diffusion":
-            return self.stencil2.apply(self.problem.diffusion(u)) / dx ** 2
-        conv = -self.stencil1.apply(self.problem.flux(u)) / dx
-        diff = self.stencil2.apply(self.problem.diffusion(u)) / dx ** 2
-        return (ops.apply_weighting_chain(self.ctx.chain2, conv)
-                + ops.apply_weighting_chain(self.ctx.chain1, diff))
+        p, dx = self.problem, self.ctx.dx
+        terms = []
+        if self.tvb_p is not None:
+            fhat = tvb_flux(u, self.means(u), p, dx, self.tvb_p)
+            terms.append((flux_difference(fhat) / dx, 0, CONVECTION))
+        elif p.has_convection:
+            terms.append((self.stencil1.apply(p.flux(u)) / dx, 0, CONVECTION))
+        if p.has_diffusion:
+            terms.append((self.stencil2.apply(p.diffusion(u)) / dx ** 2, 0, DIFFUSION))
+        return weighted_rhs(terms, self.families)
 
     def recover(self, q: np.ndarray, t: float = 0.0) -> tuple[np.ndarray, LimiterReport]:
-        return recover_point_values(q, self.chain, self.bounds, self.bp_limit)
+        return recover_point_values(q, self.levels, self.bounds, self.bp_limit)
 
 
 def periodic_grid(problem, n: int) -> tuple[np.ndarray, float]:

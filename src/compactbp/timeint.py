@@ -54,12 +54,16 @@ RK54_STAGES = (
 SSP_COEFF_RK4 = 1.508
 
 
-def rk54_stage_times() -> tuple[float, ...]:
-    """Time abscissae (in units of dt) of the Shu-Osher stages."""
+def _stage_times(stages) -> tuple[float, ...]:
+    """Time abscissae (in units of dt) of Shu-Osher stages."""
     c = [0.0]
-    for terms in RK54_STAGES:
+    for terms in stages:
         c.append(sum(a * c[j] + b for j, a, b in terms))
     return tuple(c)
+
+
+#: Time abscissae (in units of dt) of the RK54 stages, the last one 1.
+RK54_TIMES = _stage_times(RK54_STAGES)
 
 
 #: method -> (SSP coefficient, schedule factor).  The schedule factor is
@@ -142,14 +146,13 @@ class SspIntegrator:
         u0, m0, r0, t = self._hist[-1]
         dt = self.dt
         stages = [(m0, r0)]
-        times = rk54_stage_times()
         u_stage = u0
         for k, terms in enumerate(RK54_STAGES, start=1):
             q = 0.0
             for j, a, b in terms:
                 mj, rj = stages[j]
                 q = q + a * mj + dt * b * rj
-            t_stage = t + times[k] * dt
+            t_stage = t + RK54_TIMES[k] * dt
             u_stage, rep = self.scheme.recover(q, t_stage)
             self.report = self.report.merge(rep)
             if k < len(RK54_STAGES):

@@ -46,3 +46,13 @@ def test_workload_config_builds(name, profile):
     config = harness.RunConfig(**workloads.run_config_kwargs(
         wl, n, workloads.final_time(wl, profile, n), None))
     harness.build_scheme(config, n)
+
+
+@pytest.mark.parametrize("problem", compactbp.BUILTIN_IDS)
+def test_only_2d_contexts_have_dy(problem):
+    # the benchmark's output check takes a 2D cell volume (dx * dy) exactly
+    # when the scheme's context has ``dy``
+    config = harness.RunConfig(problem=problem, n=8, T=0.01)
+    _, scheme, _ = harness.build_scheme(config, config.n)
+    is_2d = isinstance(scheme, compactbp.PeriodicScheme2D)
+    assert hasattr(scheme.ctx, "dy") == is_2d

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from compactbp.boundary import (DirichletConvDiffScheme, DirichletOperators,
-                                InflowOutflowScheme, _banded_end_aware,
-                                outflow_extrapolate)
+from compactbp import boundary as rows
+from compactbp.boundary import (DirichletConvDiffScheme, InflowOutflowScheme,
+                                _banded_end_aware, outflow_extrapolate)
 from compactbp.limiters import Bounds
 from compactbp.schemes1d import CflError, Problem1D, StepContext
 from compactbp.problems import builtin
-
-ROWS = DirichletOperators()
 
 
 class TestOutflowExtrapolate:
@@ -113,20 +111,20 @@ class TestDirichletRows:
     def test_stencil_audit_frozen_values(self):
         # transcription guard: the end rows in their 1/72- and 1/24-scaled
         # forms, as printed
-        assert_allclose(np.array(ROWS.mean_first) * 72,
+        assert_allclose(np.array(rows.MEAN_FIRST) * 72,
                         [24 / 5, 246 / 5, 84 / 5, 6 / 5], rtol=1e-15)
-        assert_allclose(-np.array(ROWS.dx_first) * 24,
+        assert_allclose(-np.array(rows.DX_FIRST) * 24,
                         [-38 / 5, -42 / 5, 78 / 5, 2 / 5], rtol=1e-15)
-        assert_allclose(np.array(ROWS.dxx_first) * 6,
+        assert_allclose(np.array(rows.DXX_FIRST) * 6,
                         [24 / 5, -42 / 5, 12 / 5, 6 / 5], rtol=1e-15)
 
     def test_row_sums(self):
-        assert sum(ROWS.mean_first) == pytest.approx(1.0, abs=1e-15)
-        assert sum(ROWS.mean_interior) == pytest.approx(1.0, abs=1e-15)
-        assert sum(ROWS.dx_first) == pytest.approx(0.0, abs=1e-15)
-        assert sum(ROWS.dx_interior) == pytest.approx(0.0, abs=1e-15)
-        assert sum(ROWS.dxx_first) == pytest.approx(0.0, abs=1e-15)
-        assert sum(ROWS.dxx_interior) == pytest.approx(0.0, abs=1e-15)
+        assert sum(rows.MEAN_FIRST) == pytest.approx(1.0, abs=1e-15)
+        assert sum(rows.MEAN_INTERIOR) == pytest.approx(1.0, abs=1e-15)
+        assert sum(rows.DX_FIRST) == pytest.approx(0.0, abs=1e-15)
+        assert sum(rows.DX_INTERIOR) == pytest.approx(0.0, abs=1e-15)
+        assert sum(rows.DXX_FIRST) == pytest.approx(0.0, abs=1e-15)
+        assert sum(rows.DXX_INTERIOR) == pytest.approx(0.0, abs=1e-15)
 
     def test_cubic_consistency(self):
         # on polynomial data of degree <= 3 the one-sided closures are
@@ -139,11 +137,11 @@ class TestDirichletRows:
             p = x ** k
             dp = k * x ** (k - 1) if k > 0 else 0 * x
             ddp = k * (k - 1) * x ** (k - 2) if k > 1 else 0 * x
-            conv = _banded_end_aware(ROWS.dx_first, ROWS.dx_interior, p, -1.0) / dx
-            target = -_banded_end_aware(ROWS.mean_first, ROWS.mean_interior, dp, 1.0)
+            conv = _banded_end_aware(rows.DX_FIRST, rows.DX_INTERIOR, p, -1.0) / dx
+            target = -_banded_end_aware(rows.MEAN_FIRST, rows.MEAN_INTERIOR, dp, 1.0)
             assert np.abs(conv - target).max() <= 1e-12
-            diff = _banded_end_aware(ROWS.dxx_first, ROWS.dxx_interior, p, 1.0) / dx ** 2
-            target = _banded_end_aware(ROWS.mean_first, ROWS.mean_interior, ddp, 1.0)
+            diff = _banded_end_aware(rows.DXX_FIRST, rows.DXX_INTERIOR, p, 1.0) / dx ** 2
+            target = _banded_end_aware(rows.MEAN_FIRST, rows.MEAN_INTERIOR, ddp, 1.0)
             assert np.abs(diff - target).max() <= 1e-12
 
 

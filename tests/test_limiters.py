@@ -11,8 +11,8 @@ from compactbp.limiters import (
     limit_bounds, limit_bounds_segment, recover_point_values,
     _minmod_rows, tvb_flux,
 )
-from compactbp.operators import (WeightOperator, apply_weighting,
-                                 apply_weighting_chain, solve_weighting)
+from compactbp.operators import (WeightOperator, apply_levels, apply_weighting,
+                                 solve_weighting)
 from compactbp.problems import builtin
 
 
@@ -140,14 +140,14 @@ class TestCascade:
         bounds = Bounds(0.0, 1.0)
         u = admissible_field(rng, 16, bounds, 4.0)
         means = apply_weighting(WeightOperator(4.0), u)
-        via_cascade, _ = recover_point_values(means, (4.0,), bounds, True)
+        via_cascade, _ = recover_point_values(means, ((4.0, 0),), bounds, True)
         direct, _ = limit_bounds(solve_weighting(WeightOperator(4.0), means), bounds, 4.0)
         assert_allclose(via_cascade, direct, rtol=0, atol=0)
 
     def test_identity_inside(self):
         u = np.full(10, 0.5)
-        means = apply_weighting_chain((10.0, 4.0), u)
-        v, rep = recover_point_values(means, (10.0, 4.0), Bounds(0.0, 1.0), True)
+        means = apply_levels(((10.0, 0), (4.0, 0)), u)
+        v, rep = recover_point_values(means, ((10.0, 0), (4.0, 0)), Bounds(0.0, 1.0), True)
         assert_allclose(v, u, atol=1e-13)
         assert rep.modified_count == 0
 
@@ -157,7 +157,7 @@ class TestCascade:
         q = rng.uniform(0, 1, 24)
         w4, w10 = WeightOperator(4.0), WeightOperator(10.0)
         u = solve_weighting(w4, solve_weighting(w10, q))
-        got, rep = recover_point_values(q, (10.0, 4.0), bounds, True)
+        got, rep = recover_point_values(q, ((10.0, 0), (4.0, 0)), bounds, True)
         # sequential hand application: solve/limit at c=10, then c=4
         stage1 = solve_weighting(w10, q)
         stage1, _ = limit_bounds(stage1, bounds, 10.0)

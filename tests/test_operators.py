@@ -8,7 +8,7 @@ from scipy.linalg import solve_banded
 
 from compactbp.operators import (
     CoefficientDomainError, WeightOperator, apply_weighting,
-    apply_weighting_chain, difference_stencil,
+    apply_levels, difference_stencil,
     first_derivative_coefficients, recovery_chain,
     second_derivative_coefficients, solve_open_weighting, solve_weighting,
     _cyclic_workspace, _tridiag_workspace,
@@ -237,9 +237,15 @@ class TestApplyAndSolve:
     def test_chain_apply(self):
         rng = np.random.default_rng(10)
         u = rng.normal(size=16)
-        out = apply_weighting_chain((10.0, 4.0), u)
+        out = apply_levels(((10.0, 0), (4.0, 0)), u)
         ref = apply_weighting(WeightOperator(4.0), apply_weighting(WeightOperator(10.0), u))
-        assert_allclose(out, ref, rtol=1e-15)
+        assert np.array_equal(out, ref)
+        # levels along the second axis of a 2D field, in the given order
+        v = rng.normal(size=(5, 7))
+        out = apply_levels(((4.0, 1), (10.0, 0)), v)
+        ref = apply_weighting(WeightOperator(10.0),
+                              apply_weighting(WeightOperator(4.0), v, axis=1), axis=0)
+        assert np.array_equal(out, ref)
 
 
 class TestDiffStencil:

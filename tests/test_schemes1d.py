@@ -12,6 +12,10 @@ from compactbp.operators import (first_derivative_coefficients,
 from compactbp.schemes1d import (CflError, PeriodicScheme1D, Problem1D,
                                  StepContext, max_stable_dt)
 
+
+def admissible_dt(problem, dx, order=4):
+    return PeriodicScheme1D(problem, StepContext.create(dx, order)).admissible_dt_fe()
+
 C_MS = 0.1648
 
 
@@ -104,10 +108,8 @@ class TestEulerConvDiff:
         from compactbp.operators import WeightOperator, apply_weighting
         assert_allclose(q_cd, apply_weighting(WeightOperator(10.0), q_conv), atol=1e-14)
         # and the admissible dt halves when both terms are active
-        cs1 = first_derivative_coefficients(4)
-        cs2 = second_derivative_coefficients(4)
-        full = max_stable_dt(self._problem(), 0.1, cs1, cs2)
-        pure = max_stable_dt(conv, 0.1, cs1, cs2)
+        full = admissible_dt(self._problem(), 0.1)
+        pure = admissible_dt(conv, 0.1)
         assert full == pytest.approx(pure / 2, rel=1e-12)
 
     def test_heat_constant(self):
@@ -123,8 +125,7 @@ class TestEulerConvDiff:
         n = 32
         x = 2 * np.pi * np.arange(1, n + 1) / n
         dx = 2 * np.pi / n
-        dt = max_stable_dt(prob, dx, first_derivative_coefficients(4),
-                           second_derivative_coefficients(4))
+        dt = admissible_dt(prob, dx)
         scheme = PeriodicScheme1D(prob, StepContext.create(dx, 4), bp_limit=False)
         u0 = np.sin(x)
         u1, q1, _ = scheme.euler_step(u0, dt)
@@ -136,6 +137,36 @@ class TestEulerConvDiff:
         dense = (u0 - lam * np.linalg.solve(W1, Dx @ u0)
                  + mu * np.linalg.solve(W2, Dxx @ (0.001 * u0)))
         assert np.abs(u1 - dense).max() <= 1e-14
+        assert np.abs(q1 - W2 @ (W1 @ dense)).max() <= 1e-13
+
+    def test_dense_matrix_oracle_order8(self):
+        # two weighting levels per family: the convection term is wrapped in
+        # both diffusion levels and the diffusion term in both convection ones
+        d = 0.05
+        prob = self._problem(d)
+        n = 32
+        x = 2 * np.pi * np.arange(1, n + 1) / n
+        dx = 2 * np.pi / n
+        scheme = PeriodicScheme1D(prob, StepContext.create(dx, 8), bp_limit=False)
+        dt = scheme.admissible_dt_fe()
+        u0 = np.sin(x) + 0.3 * np.cos(3 * x)
+        u1, q1, _ = scheme.euler_step(u0, dt)
+        cs1, cs2 = first_derivative_coefficients(8), second_derivative_coefficients(8)
+        offsets = [-2, -1, 0, 1, 2]
+        W1 = circulant(np.array([cs1.beta, cs1.alpha, 1, cs1.alpha, cs1.beta]) / cs1.scale,
+                       n, offsets)
+        W2 = circulant(np.array([cs2.beta, cs2.alpha, 1, cs2.alpha, cs2.beta]) / cs2.scale,
+                       n, offsets)
+        a1, b1 = cs1.a, cs1.b
+        D1 = circulant(np.array([-b1 / 4, -a1 / 2, 0, a1 / 2, b1 / 4]) / cs1.scale, n, offsets)
+        a2, b2 = cs2.a, cs2.b
+        D2 = circulant(np.array([b2 / 4, a2, -2 * a2 - b2 / 2, a2, b2 / 4]) / cs2.scale,
+                       n, offsets)
+        lam, mu = dt / dx, dt / dx ** 2
+        dense = (u0 - lam * np.linalg.solve(W1, D1 @ u0)
+                 + mu * np.linalg.solve(W2, D2 @ (d * u0)))
+        assert len(scheme.levels) == 4
+        assert np.abs(u1 - dense).max() <= 1e-13
         assert np.abs(q1 - W2 @ (W1 @ dense)).max() <= 1e-13
 
     def test_convex_combination_identity(self):
@@ -163,8 +194,7 @@ class TestEulerConvDiff:
         n = 40
         x = 2 * np.pi * np.arange(1, n + 1) / n
         dx = 2 * np.pi / n
-        dt = max_stable_dt(prob, dx, first_derivative_coefficients(4),
-                           second_derivative_coefficients(4))
+        dt = admissible_dt(prob, dx)
         scheme = PeriodicScheme1D(prob, StepContext.create(dx, 4), bp_limit=True)
         u = np.sin(x)
         for _ in range(20):
@@ -173,18 +203,12 @@ class TestEulerConvDiff:
 
 
 class TestMaxStableDt:
-    def setup_method(self):
-        self.cs1_4 = first_derivative_coefficients(4)
-        self.cs2_4 = second_derivative_coefficients(4)
-        self.cs1_8 = first_derivative_coefficients(8)
-        self.cs2_8 = second_derivative_coefficients(8)
-
     def test_order4_convection(self):
-        dt = C_MS * max_stable_dt(linear_advection(), 0.3, self.cs1_4, self.cs2_4)
+        dt = C_MS * admissible_dt(linear_advection(), 0.3)
         assert dt == pytest.approx(C_MS * 0.3 / 3, rel=1e-14)
 
     def test_order8_convection_factor(self):
-        dt = max_stable_dt(linear_advection(), 0.3, self.cs1_8, self.cs2_8)
+        dt = admissible_dt(linear_advection(), 0.3, order=8)
         assert dt == pytest.approx((6 / 25) * 0.3, rel=1e-14)
 
     def test_order8_convdiff_factors(self):
@@ -193,19 +217,21 @@ class TestMaxStableDt:
                          initial=np.sin, flux=lambda u: u, max_fprime=1.0,
                          diffusion=lambda u: d * u, max_aprime=d)
         dx = 0.05
-        dt = C_MS * max_stable_dt(prob, dx, self.cs1_8, self.cs2_8)
+        scheme = PeriodicScheme1D(prob, StepContext.create(dx, 8))
+        dt = C_MS * scheme.admissible_dt_fe()
         expect = C_MS * min((3 / 25) * dx, (131 / 530) * dx ** 2 / d)
         assert dt == pytest.approx(expect, rel=1e-13)
-        # quadratic convection scaling for temporal-order verification
-        dt2 = C_MS * max_stable_dt(prob, dx, self.cs1_8, self.cs2_8,
-                                   dx2_convection=True)
+        # quadratic convection scaling for temporal-order verification:
+        # the convection rate is max|f'|/dx^2
+        dt2 = C_MS * max_stable_dt((1.0 / dx ** 2, scheme.cfl_rates()[1]), scheme.cfl)
         expect2 = C_MS * min((3 / 25) * dx ** 2, (131 / 530) * dx ** 2 / d)
         assert dt2 == pytest.approx(expect2, rel=1e-13)
 
     def test_no_constraint_returns_inf(self):
         prob = Problem1D(name="free", x_lo=0, x_hi=1, bounds=Bounds(0, 1),
                          initial=lambda x: 0 * x)
-        assert max_stable_dt(prob, 0.1, self.cs1_4, self.cs2_4) == np.inf
+        assert admissible_dt(prob, 0.1) == np.inf
+        assert max_stable_dt((0.0, 0.0), (1.0, 1.0)) == np.inf
 
 
 class TestConvergence:

@@ -9,7 +9,11 @@ from compactbp.operators import WeightOperator, apply_weighting
 from compactbp.problems import builtin
 from compactbp.schemes1d import CflError, PeriodicScheme1D, Problem1D, StepContext
 from compactbp.schemes2d import (PeriodicScheme2D, Problem2D, StepContext2D,
-                                 _dx_central, _dxx_central, max_stable_dt_2d)
+                                 _dx_central, _dxx_central)
+
+
+def admissible_dt(problem, dx):
+    return PeriodicScheme2D(problem, StepContext2D(dx, dx)).admissible_dt_fe()
 
 
 def circulant(row, n, offsets):
@@ -66,7 +70,7 @@ class TestConvection2D:
         prob = self._problem()
         n = 12
         _, dx = grid(n)
-        dt = max_stable_dt_2d(prob, dx, dx)  # CFL-tight forward Euler step
+        dt = admissible_dt(prob, dx)  # CFL-tight forward Euler step
         scheme = PeriodicScheme2D(prob, StepContext2D(dx, dx), bp_limit=False)
         rng = np.random.default_rng(31)
         for _ in range(300):
@@ -78,7 +82,7 @@ class TestConvection2D:
     def test_cfl_error(self):
         prob = self._problem()
         dx = 0.1
-        dt = 1.1 * max_stable_dt_2d(prob, dx, dx)
+        dt = 1.1 * admissible_dt(prob, dx)
         with pytest.raises(CflError):
             PeriodicScheme2D(prob, StepContext2D(dx, dx)).euler_step(
                 np.full((8, 8), 0.6), dt)
@@ -143,7 +147,7 @@ class TestStructure:
         prob = builtin("2d-linadv")
         n = 16
         _, dx = grid(n)
-        dt = 0.1648 * max_stable_dt_2d(prob, dx, dx)
+        dt = 0.1648 * admissible_dt(prob, dx)
         rng = np.random.default_rng(35)
         u0 = np.clip(0.75 + 0.24 * rng.normal(size=(n, n)), 0.5, 1.0)
         scheme = PeriodicScheme2D(prob, StepContext2D(dx, dx), bp_limit=True)

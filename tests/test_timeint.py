@@ -10,7 +10,7 @@ from compactbp.schemes1d import CflError, PeriodicScheme1D, StepContext
 from compactbp.problems import builtin
 from compactbp.timeint import (MS4_ALPHA, MS4_BETA, MS4_STEPS, RK54_STAGES,
                                SSP_COEFF_MS4, SSP_COEFF_RK4, IntegratorSpec,
-                               SspIntegrator, integrate_to, rk54_stage_times)
+                               RK54_TIMES, SspIntegrator, integrate_to)
 
 
 class OdeScheme:
@@ -99,9 +99,8 @@ class TestRungeKuttaTableau:
         assert abs(SSP_COEFF_RK4 - 1.508) < 1e-12
 
     def test_stage_times_end_at_one(self):
-        times = rk54_stage_times()
-        assert times[0] == 0.0
-        assert times[-1] == pytest.approx(1.0, abs=1e-12)
+        assert RK54_TIMES[0] == 0.0
+        assert RK54_TIMES[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOdeOrders:
