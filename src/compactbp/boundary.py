@@ -110,7 +110,8 @@ class InflowOutflowScheme(Scheme):
     def means(self, u: np.ndarray) -> np.ndarray:
         return (u[:-2] + 4.0 * u[1:-1] + u[2:]) / 6.0
 
-    def rhs_means(self, u: np.ndarray, t: float = 0.0) -> np.ndarray:
+    def rhs_means(self, u: np.ndarray, t: float = 0.0,
+                  means: np.ndarray | None = None) -> np.ndarray:
         f = self.problem.flux(u)
         return -(f[2:] - f[:-2]) / (2.0 * self.ctx.dx)
 
@@ -186,7 +187,8 @@ class DirichletConvDiffScheme(Scheme):
     def means(self, u: np.ndarray) -> np.ndarray:
         return _banded_end_aware(MEAN_FIRST, MEAN_INTERIOR, u, mirror_sign=1.0)
 
-    def rhs_means(self, u: np.ndarray, t: float = 0.0) -> np.ndarray:
+    def rhs_means(self, u: np.ndarray, t: float = 0.0,
+                  means: np.ndarray | None = None) -> np.ndarray:
         out = 0.0
         if self.problem.has_convection:
             conv = _banded_end_aware(DX_FIRST, DX_INTERIOR,

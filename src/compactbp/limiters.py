@@ -495,23 +495,21 @@ def _minmod_rows(a1, a2, a3, p, dx):
     """Minmod with a smoothness exemption below ``p * dx**2``, elementwise.
 
     Returns ``a1`` where ``|a1| <= p * dx**2``; elsewhere the common-sign
-    minimum magnitude of ``a1, a2, a3``, or 0 on sign disagreement.
+    minimum magnitude of ``a1, a2, a3``, or +0.0 on sign disagreement.
+    That is ``max(min(a), 0) + min(max(a), 0)`` of finite arguments:
+    with all three positive only the first term is nonzero, with all
+    negative only the second, and otherwise both are zeros whose sum is
+    +0.0 (a sum of two zeros is -0.0 only when both are).
     """
-    smooth = np.abs(a1) <= p * dx * dx
-    s = np.sign(a1)
-    agree = (np.sign(a2) == s) & (np.sign(a3) == s) & (s != 0)
-    mm = s * np.minimum(np.abs(a1), np.minimum(np.abs(a2), np.abs(a3)))
-    return np.where(smooth, a1, np.where(agree, mm, 0.0))
-
-
-def _next(x):
-    """Periodic ``x_{i+1}`` of a 1D array (``np.roll(x, -1)``)."""
-    return np.concatenate((x[1:], x[:1]))
-
-
-def _prev(x):
-    """Periodic ``x_{i-1}`` of a 1D array (``np.roll(x, 1)``)."""
-    return np.concatenate((x[-1:], x[:-1]))
+    lo = np.minimum(a2, a3)
+    np.minimum(lo, a1, out=lo)
+    hi = np.maximum(a2, a3)
+    np.maximum(hi, a1, out=hi)
+    np.maximum(lo, 0.0, out=lo)
+    np.minimum(hi, 0.0, out=hi)
+    lo += hi
+    np.copyto(lo, a1, where=np.abs(a1) <= p * dx * dx)
+    return lo
 
 
 def tvb_flux(u: np.ndarray, ubar: np.ndarray, problem, dx: float,
@@ -523,30 +521,56 @@ def tvb_flux(u: np.ndarray, ubar: np.ndarray, problem, dx: float,
     of each component from its first-order upwind value against
     neighbouring forward differences with the modified minmod, and returns
     ``fhat[i] ~ f_{i+1/2}``.
+
+    One stacked pass does it.  The four components go into one
+    ``(2, 2, n+3)`` array indexed by argument (``u``, then ``ubar``), by
+    sign (``+``, then ``-``) and by column ``i+1`` for point ``i``, with
+    the points ``n-1`` before and ``0, 1`` after the line wrapped in, so
+    every neighbour is a shifted slice.  The upwind deviations of the two
+    components, ``fhat+ - f+(ubar_i)`` and ``f-(ubar_{i+1}) - fhat-``, form
+    one ``(2, n)`` stack limited by one minmod call: the ``+`` row against
+    the forward differences of ``f+(ubar)`` at ``i`` and ``i-1``, the ``-``
+    row against those of ``f-(ubar)`` at ``i`` and ``i+1``.  The minmod
+    takes ``max(min(a), 0) + min(max(a), 0)`` of its three arguments
+    (see ``_minmod_rows``), which equals the common-sign minimum magnitude
+    bit for bit.  ``n >= 2``.
     """
+    n = u.size
+    x = np.empty((2, n + 3))
+    x[0, 1:-2], x[1, 1:-2] = u, ubar
+    x[:, 0] = x[:, -3]
+    x[:, -2:] = x[:, 1:3]
     speed = problem.max_fprime
-    f_u = problem.flux(u)
-    f_ub = problem.flux(ubar)
-    fp_u = 0.5 * (f_u + speed * u)
-    fm_u = 0.5 * (f_u - speed * u)
-    fp_b = 0.5 * (f_ub + speed * ubar)
-    fm_b = 0.5 * (f_ub - speed * ubar)
+    # f - speed*x is f + (-speed)*x exactly, so one signed multiply, an
+    # add of f per argument and one halving give all four components
+    comp = np.multiply(x[:, None], np.array([[speed], [-speed]]))
+    comp[0] += problem.flux(x[0])
+    comp[1] += problem.flux(x[1])
+    comp *= 0.5
+    at, nxt = comp[..., 1:-2], comp[..., 2:-1]  # points i and i+1
 
-    fm_b_next = _next(fm_b)
-    fhat_p = 0.5 * (fp_u + _next(fp_u))          # (f+(u_i) + f+(u_{i+1}))/2
-    fhat_m = 0.5 * (fm_u + _next(fm_u))
-    dplus_p = _next(fp_b) - fp_b                  # forward differences at the means
-    dplus_m = fm_b_next - fm_b
+    fhat = at[0] + nxt[0]  # (f+-(u_i) + f+-(u_{i+1}))/2, both signs
+    fhat *= 0.5
+    dev = np.empty((2, n))
+    np.subtract(fhat[0], at[1, 0], out=dev[0])
+    np.subtract(nxt[1, 1], fhat[1], out=dev[1])
+    # forward differences of both components at ubar, column j for point
+    # j-1, laid out with rows n+4 apart so that one (2, n) view holds
+    # column i of the + row (point i-1) and column i+2 of the - row
+    buf = np.empty(2 * (n + 4))
+    dplus = buf[:2 * (n + 2)].reshape(2, n + 2)
+    np.subtract(comp[1, :, 1:], comp[1, :, :-1], out=dplus)
+    outer = buf.reshape(2, n + 4)[:, :n]
+    lim = _minmod_rows(dev, dplus[:, 1:-1], outer, p, dx)
 
-    dfp = fhat_p - fp_b
-    dfm = fm_b_next - fhat_m
-    dfp_lim = _minmod_rows(dfp, dplus_p, _prev(dplus_p), p, dx)
-    dfm_lim = _minmod_rows(dfm, dplus_m, _next(dplus_m), p, dx)
-
-    return (fp_b + dfp_lim) + (fm_b_next - dfm_lim)
+    out = at[1, 0] + lim[0]
+    out += nxt[1, 1] - lim[1]
+    return out
 
 
 def flux_difference(fhat: np.ndarray) -> np.ndarray:
     """Periodic ``fhat_{i+1/2} - fhat_{i-1/2}`` of half-point fluxes ``fhat[i] ~ f_{i+1/2}``."""
-    return fhat - _prev(fhat)
-
+    out = np.empty_like(fhat)
+    np.subtract(fhat[1:], fhat[:-1], out=out[1:])
+    out[0] = fhat[0] - fhat[-1]
+    return out

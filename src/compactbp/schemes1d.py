@@ -182,8 +182,10 @@ class Scheme:
     the weighted means in ``[m, M]``, and the SSP methods of
     :mod:`.timeint` are convex combinations of such steps.  So a subclass
     supplies only the problem-specific parts: ``means(u)`` (the weighted
-    means of the point values), ``rhs_means(u, t)`` (their time
-    derivative), ``recover(q, t)`` (point values from updated means,
+    means of the point values), ``rhs_means(u, t, means=None)`` (their
+    time derivative; a caller holding ``means(u)`` passes it, and a
+    scheme whose derivative depends on the means uses it instead of
+    weighting again), ``recover(q, t)`` (point values from updated means,
     limited when ``bp_limit`` is set), ``cfl`` (the convection and
     diffusion constants of :func:`max_stable_dt`) and ``_coordinates(n)``
     (the grid point coordinates, one array per dimension); 2D schemes
@@ -229,7 +231,8 @@ class Scheme:
     def euler_step(self, u: np.ndarray, dt: float, t: float = 0.0):
         """One forward-Euler step from time ``t``: returns (u_new, means_new, report)."""
         check_dt(dt, self.admissible_dt_fe(), self.problem.name)
-        q = self.means(u) + dt * self.rhs_means(u, t)
+        m = self.means(u)
+        q = m + dt * self.rhs_means(u, t, means=m)
         u_new, report = self.recover(q, t + dt)
         return u_new, q, report
 
@@ -270,12 +273,18 @@ class PeriodicScheme1D(Scheme):
     def means(self, u: np.ndarray) -> np.ndarray:
         return ops.apply_levels(self.levels, u)
 
-    def rhs_means(self, u: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """Time derivative of the weighted means at state ``u``."""
+    def rhs_means(self, u: np.ndarray, t: float = 0.0,
+                  means: np.ndarray | None = None) -> np.ndarray:
+        """Time derivative of the weighted means at state ``u``.
+
+        The TVB flux limits against the means of ``u``: ``means`` when
+        the caller passes them, else ``self.means(u)``.
+        """
         p, dx = self.problem, self.ctx.dx
         terms = []
         if self.tvb_p is not None:
-            fhat = tvb_flux(u, self.means(u), p, dx, self.tvb_p)
+            ubar = self.means(u) if means is None else means
+            fhat = tvb_flux(u, ubar, p, dx, self.tvb_p)
             terms.append((flux_difference(fhat) / dx, 0, CONVECTION))
         elif p.has_convection:
             terms.append((self.stencil1.apply(p.flux(u)) / dx, 0, CONVECTION))

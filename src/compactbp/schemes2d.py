@@ -65,11 +65,25 @@ class StepContext2D:
     dy: float
 
 
+def _along_memory(f, axis):
+    """Whether ``axis`` is the memory-contiguous axis of a contiguous ``f``.
+
+    Then a shift along ``axis`` is a shift of the flat memory-order view
+    (``ravel(order="K")``): one loop over the whole array instead of one
+    short strided loop per line, wrong only at the two wrap ends of each
+    line, which the stencils set afterwards.  Along another axis the
+    shifted slices of the view with ``axis`` first are whole blocks
+    already.
+    """
+    return f.strides[axis] == f.itemsize and f.flags.forc
+
+
 def _dx_central(f, axis):
     """Periodic ``0.5 (f_{i+1} - f_{i-1})`` along ``axis``."""
     out = np.empty_like(f)
     o, v = out.swapaxes(0, axis), f.swapaxes(0, axis)
-    np.subtract(v[2:], v[:-2], out=o[1:-1])
+    so, sv = (out.ravel(order="K"), f.ravel(order="K")) if _along_memory(f, axis) else (o, v)
+    np.subtract(sv[2:], sv[:-2], out=so[1:-1])
     np.subtract(v[1], v[-1], out=o[0])
     np.subtract(v[0], v[-2], out=o[-1])
     o *= 0.5
@@ -79,11 +93,17 @@ def _dx_central(f, axis):
 def _dxx_central(f, axis):
     """Periodic ``(f_{i+1} - 2 f_i) + f_{i-1}`` along ``axis``."""
     out = np.empty_like(f)
-    o, v = out.swapaxes(0, axis), f.swapaxes(0, axis)
-    twice = 2.0 * v
-    np.subtract(v[1:], twice[:-1], out=o[:-1])
-    np.subtract(v[0], twice[-1], out=o[-1])
-    o[1:] += v[:-1]
+    twice = 2.0 * f
+    o, v, w = out.swapaxes(0, axis), f.swapaxes(0, axis), twice.swapaxes(0, axis)
+    flat = _along_memory(f, axis)
+    so, sv, sw = ((out.ravel(order="K"), f.ravel(order="K"), twice.ravel(order="K"))
+                  if flat else (o, v, w))
+    np.subtract(sv[1:], sw[:-1], out=so[:-1])
+    np.subtract(v[0], w[-1], out=o[-1])
+    so[1:] += sv[:-1]
+    if flat:
+        # the first point of each line took the last of the line before
+        np.subtract(v[1], w[0], out=o[0])
     o[0] += v[-1]
     return out
 
@@ -133,7 +153,8 @@ class PeriodicScheme2D(Scheme):
     def means(self, u: np.ndarray) -> np.ndarray:
         return ops.apply_levels(self.levels, u)
 
-    def rhs_means(self, u: np.ndarray, t: float = 0.0) -> np.ndarray:
+    def rhs_means(self, u: np.ndarray, t: float = 0.0,
+                  means: np.ndarray | None = None) -> np.ndarray:
         """Time derivative of the fully weighted means at state ``u``."""
         p, ctx = self.problem, self.ctx
         f, g = _evaluate_pair(p.flux_x, p.flux_y, u)

@@ -134,7 +134,8 @@ class SspIntegrator:
         return integ
 
     def _entry(self, u, t):
-        return (u, self.scheme.means(u), self.scheme.rhs_means(u, t), t)
+        m = self.scheme.means(u)
+        return (u, m, self.scheme.rhs_means(u, t, means=m), t)
 
     def start(self, u0, t0=0.0):
         self._t0 = t0
@@ -156,8 +157,8 @@ class SspIntegrator:
             u_stage, rep = self.scheme.recover(q, t_stage)
             self.report = self.report.merge(rep)
             if k < len(RK54_STAGES):
-                stages.append((self.scheme.means(u_stage),
-                               self.scheme.rhs_means(u_stage, t_stage)))
+                m = self.scheme.means(u_stage)
+                stages.append((m, self.scheme.rhs_means(u_stage, t_stage, means=m)))
         return u_stage
 
     def _ms_step(self):

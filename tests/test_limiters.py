@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from compactbp.limiters import (
@@ -337,6 +339,28 @@ def scalar_minmod(args, p, dx):
     return float(signs[0] * np.min(np.abs(args)))
 
 
+def sign_minmod_rows(a1, a2, a3, p, dx):
+    """The modified minmod in its sign form: the common sign times the
+    minimum magnitude where all three signs agree, else 0.0."""
+    smooth = np.abs(a1) <= p * dx * dx
+    s = np.sign(a1)
+    agree = (np.sign(a2) == s) & (np.sign(a3) == s) & (s != 0)
+    mm = s * np.minimum(np.abs(a1), np.minimum(np.abs(a2), np.abs(a3)))
+    return np.where(smooth, a1, np.where(agree, mm, 0.0))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# finite doubles with both zeros, subnormals and magnitudes near each other
+minmod_args = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]),
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.integers(-3, 3).map(float))
+
+
 class TestModifiedMinmod:
     def test_common_sign_minimum(self):
         assert modified_minmod([0.5, 1.0, 2.0], 5.0, 0.01) == 0.5
@@ -347,6 +371,41 @@ class TestModifiedMinmod:
     def test_threshold_branch(self):
         # |a1| <= p dx^2 returns a1 regardless of the rest
         assert modified_minmod([3e-4, -1.0, 2.0], 5.0, 0.01) == 3e-4
+
+    @settings(max_examples=500, deadline=None)
+    @given(minmod_args, minmod_args, minmod_args, st.sampled_from([0.0, 5.0, 1e6]))
+    def test_matches_scalar_minmod(self, a1, a2, a3, p):
+        # the min/max form gives the bits of the per-interface sign form,
+        # the zero of a sign disagreement +0.0 and a smooth a1 unchanged
+        dx = 0.01
+        got = modified_minmod([a1, a2, a3], p, dx)
+        assert same_bits(got, scalar_minmod([a1, a2, a3], p, dx))
+        rows = tuple(np.array([a]) for a in (a1, a2, a3))
+        assert same_bits(got, sign_minmod_rows(*rows, p, dx)[0])
+
+    def test_signed_zeros_and_subnormals_match_sign_form(self):
+        # every triple of these values, in a (2, n) stack as tvb_flux passes it
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.5e-323, -1e-308, 1e-3, -1e-3, 1.0, -2.0]
+        args = np.array(list(itertools.product(values, repeat=3))).T.reshape(3, 2, -1)
+        for p in (0.0, 5.0, 1e6):
+            for dx in (0.01, 1e-160):
+                assert same_bits(_minmod_rows(*args, p, dx), sign_minmod_rows(*args, p, dx))
+
+
+def roll_tvb_flux(u, ubar, problem, dx, p):
+    """The TVB flux from ``np.roll`` neighbours and the sign-form minmod."""
+    speed = problem.max_fprime
+    f_u, f_ub = problem.flux(u), problem.flux(ubar)
+    fp_u, fm_u = 0.5 * (f_u + speed * u), 0.5 * (f_u - speed * u)
+    fp_b, fm_b = 0.5 * (f_ub + speed * ubar), 0.5 * (f_ub - speed * ubar)
+    fhat_p = 0.5 * (fp_u + np.roll(fp_u, -1))
+    fhat_m = 0.5 * (fm_u + np.roll(fm_u, -1))
+    dplus_p = np.roll(fp_b, -1) - fp_b
+    dplus_m = np.roll(fm_b, -1) - fm_b
+    dfp_lim = sign_minmod_rows(fhat_p - fp_b, dplus_p, np.roll(dplus_p, 1), p, dx)
+    dfm_lim = sign_minmod_rows(np.roll(fm_b, -1) - fhat_m, dplus_m,
+                               np.roll(dplus_m, -1), p, dx)
+    return (fp_b + dfp_lim) + (np.roll(fm_b, -1) - dfm_lim)
 
 
 def tvb_euler_step(u, ubar, problem, lam, p, dx):
@@ -405,31 +464,36 @@ class TestTvbEulerStep:
         assert fhat[i] == pytest.approx(expected, abs=1e-15)
 
     def test_flux_matches_roll_form(self):
-        # the slice form gives the bits of the np.roll form, signed zeros included
-        from compactbp.limiters import _minmod_rows
-
-        def roll_tvb_flux(u, ubar, problem, dx, p):
-            speed = problem.max_fprime
-            f_u, f_ub = problem.flux(u), problem.flux(ubar)
-            fp_u, fm_u = 0.5 * (f_u + speed * u), 0.5 * (f_u - speed * u)
-            fp_b, fm_b = 0.5 * (f_ub + speed * ubar), 0.5 * (f_ub - speed * ubar)
-            fhat_p = 0.5 * (fp_u + np.roll(fp_u, -1))
-            fhat_m = 0.5 * (fm_u + np.roll(fm_u, -1))
-            dplus_p = np.roll(fp_b, -1) - fp_b
-            dplus_m = np.roll(fm_b, -1) - fm_b
-            dfp_lim = _minmod_rows(fhat_p - fp_b, dplus_p, np.roll(dplus_p, 1), p, dx)
-            dfm_lim = _minmod_rows(np.roll(fm_b, -1) - fhat_m, dplus_m,
-                                   np.roll(dplus_m, -1), p, dx)
-            return (fp_b + dfp_lim) + (np.roll(fm_b, -1) - dfm_lim)
-
+        # the stacked pass gives the bits of the np.roll form with the sign
+        # form of the minmod, signed zeros included, for a linear and a
+        # nonlinear (Burgers, f = u^2/2) flux
         rng = np.random.default_rng(13)
-        for n in (3, 8, 100):
-            u = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0, 1, n))
-            ubar = apply_weighting(self.w, u)
-            for p in (0.0, 5.0):
-                fhat = tvb_flux(u, ubar, self.problem, self.dx, p)
-                ref = roll_tvb_flux(u, ubar, self.problem, self.dx, p)
-                assert np.array_equal(fhat.view(np.int64), ref.view(np.int64))
-                q = tvb_euler_step(u, ubar, self.problem, 1 / 12, p, self.dx)
-                q_ref = ubar - (1 / 12) * (ref - np.roll(ref, 1))
-                assert np.array_equal(q.view(np.int64), q_ref.view(np.int64))
+        for problem in (self.problem, builtin("burgers-sin")):
+            lo, hi = problem.bounds.span
+            for n in (3, 8, 100):
+                u = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(lo, hi, n))
+                ubar = apply_weighting(self.w, u)
+                for p in (0.0, 5.0, 1e6):
+                    fhat = tvb_flux(u, ubar, problem, self.dx, p)
+                    ref = roll_tvb_flux(u, ubar, problem, self.dx, p)
+                    assert same_bits(fhat, ref)
+                    assert same_bits(flux_difference(fhat), ref - np.roll(ref, 1))
+
+    def test_flux_signed_zeros_and_subnormal_differences(self):
+        # +0.0/-0.0 states and states a few subnormals apart give zero and
+        # subnormal deviations and differences on both sides of the
+        # smoothness threshold; the flux keeps the bits of the np.roll form
+        tiny = 5e-324
+        cases = [
+            np.array([0.0, -0.0, 0.0, -0.0, -0.0, 0.0]),
+            np.array([0.0, tiny, -tiny, 2 * tiny, 0.0, -0.0, -3 * tiny, tiny]),
+            np.array([1e-308, 1e-308 + tiny, 1e-308, -0.0, 1e-308 - tiny, 0.0, 3 * tiny]),
+        ]
+        for problem in (self.problem, builtin("burgers-sin")):
+            for u in cases:
+                for ubar in (u, u[::-1].copy(), apply_weighting(self.w, u)):
+                    for p in (0.0, 5.0, 1e6):
+                        for dx in (self.dx, 1e-160):
+                            fhat = tvb_flux(u, ubar, problem, dx, p)
+                            ref = roll_tvb_flux(u, ubar, problem, dx, p)
+                            assert same_bits(fhat, ref)

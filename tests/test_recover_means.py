@@ -118,8 +118,8 @@ def _count_calls(monkeypatch, names):
 @pytest.mark.parametrize("kwargs, applies, solves", [
     # means(u): one weighting per chain level (2), none in the limiter
     (dict(problem="linadv-sin4-half", order=8), 2, 2),
-    # means(u) and the TVB flux's means: one weighting each
-    (dict(problem="linadv-step", order=4, tvb=5.0), 2, 1),
+    # means(u), which the TVB flux reuses: one weighting
+    (dict(problem="linadv-step", order=4, tvb=5.0), 1, 1),
 ])
 def test_weightings_per_multistep_step(monkeypatch, kwargs, applies, solves):
     config = RunConfig(n=40, T=0.5, bp_limiter=True, integrator="ms4", **kwargs)

@@ -58,6 +58,28 @@ def test_inadmissible_dt_is_refused_by_both(problem, order, cls):
         SspIntegrator(scheme, IntegratorSpec("fe"), dt)
 
 
+def test_rhs_means_takes_the_callers_means():
+    # the TVB flux limits against the means it is given, and every caller
+    # that has just weighted a state passes them on: one weighting per
+    # forward-Euler step, Runge-Kutta stage and history entry
+    config = RunConfig(problem="linadv-step", order=4, tvb=5.0, integrator="fe",
+                       n=40, T=0.01, bp_limiter=True)
+    _, scheme, dt = build_scheme(config, config.n)
+    u0, _ = scheme.initial_state()
+    m = scheme.means(u0)
+    own = scheme.rhs_means(u0, 0.0)
+    assert np.array_equal(scheme.rhs_means(u0, 0.0, means=m).view(np.int64), own.view(np.int64))
+    assert not np.array_equal(scheme.rhs_means(u0, 0.0, means=np.roll(m, 3)), own)
+    calls = []
+    weigh = scheme.means
+    scheme.means = lambda u: calls.append(1) or weigh(u)
+    scheme.euler_step(u0, dt)
+    assert len(calls) == 1
+    calls.clear()
+    SspIntegrator(scheme, IntegratorSpec("rk4"), dt).start(u0).advance()
+    assert len(calls) == 6  # the start entry, four inner stages, the new entry
+
+
 @pytest.mark.parametrize("cls", TRACED)
 def test_traced_methods_are_defined_on_the_class(cls):
     for name in ("means", "rhs_means", "recover"):

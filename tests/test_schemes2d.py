@@ -197,6 +197,50 @@ def test_central_differences_match_roll_form():
                 assert np.array_equal(out.view(np.int64), ref.view(np.int64))
 
 
+def _dx_sliced(f, axis):
+    """``_dx_central`` through shifted slices of the swapped views."""
+    out = np.empty_like(f)
+    o, v = out.swapaxes(0, axis), f.swapaxes(0, axis)
+    np.subtract(v[2:], v[:-2], out=o[1:-1])
+    np.subtract(v[1], v[-1], out=o[0])
+    np.subtract(v[0], v[-2], out=o[-1])
+    o *= 0.5
+    return out
+
+
+def _dxx_sliced(f, axis):
+    """``_dxx_central`` through shifted slices of the swapped views."""
+    out = np.empty_like(f)
+    o, v = out.swapaxes(0, axis), f.swapaxes(0, axis)
+    twice = 2.0 * v
+    np.subtract(v[1:], twice[:-1], out=o[:-1])
+    np.subtract(v[0], twice[-1], out=o[-1])
+    o[1:] += v[:-1]
+    o[0] += v[-1]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 4), (4, 3), (3, 11), (10, 3), (8, 8), (13, 6)])
+def test_central_differences_match_sliced_form(shape):
+    # the flat memory-order shifts give the bits and memory layout of the
+    # shifted slices of swapped views, along both axes of C- and F-ordered
+    # (and non-contiguous) fields; signed zeros and subnormals included
+    rng = np.random.default_rng(sum(shape))
+    f = rng.normal(size=shape)
+    f[::2, ::3] = -0.0
+    f[1::3, ::2] = 0.0
+    f[-1, 0], f[0, -1] = 5e-324, -1e-310
+    wide = np.concatenate((f, f), axis=1)
+    for arr in (f, np.asfortranarray(f), f.T, wide[:, ::2], wide[:, ::2].T):
+        before = arr.copy()
+        for axis in (0, 1):
+            for out, ref in ((_dx_central(arr, axis), _dx_sliced(arr, axis)),
+                             (_dxx_central(arr, axis), _dxx_sliced(arr, axis))):
+                assert out.strides == ref.strides
+                assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+        assert np.array_equal(arr.view(np.int64), before.view(np.int64))
+
+
 class TestSharedCoefficients:
     """``rhs_means`` evaluates a function shared by both directions once."""
 

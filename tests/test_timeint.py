@@ -24,7 +24,7 @@ class OdeScheme:
     def means(self, u):
         return u
 
-    def rhs_means(self, u, t=0.0):
+    def rhs_means(self, u, t=0.0, means=None):
         return self.f(u, t)
 
     def recover(self, q, t=0.0):
