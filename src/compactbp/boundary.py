@@ -79,6 +79,24 @@ def _check_bc_value(value, bounds, what):
     return min(max(float(value), bounds.lower), bounds.upper)
 
 
+def _recover_interior(scheme, means, u_left, u_right):
+    """Full state and limiter report from the c = 4 interior means.
+
+    The end values move into the right-hand side of the solve; with them
+    in place, ``(u_{i-1} + 4 u_i + u_{i+1})/6`` reproduces ``means``,
+    which the limiter checks when ``scheme.bp_limit`` is set.
+    """
+    rhs = means.copy()
+    rhs[0] -= u_left / 6.0
+    rhs[-1] -= u_right / 6.0
+    interior = solve_open_weighting(4.0, rhs)
+    report = LimiterReport()
+    if scheme.bp_limit:
+        interior, report = limit_bounds_segment(
+            interior, scheme.bounds, 4.0, left=u_left, right=u_right, means=means)
+    return np.concatenate(([u_left], interior, [u_right])), report
+
+
 class InflowOutflowScheme(Scheme):
     """4th-order convection scheme with inflow at the left, outflow right.
 
@@ -120,17 +138,7 @@ class InflowOutflowScheme(Scheme):
         bounds = self.bounds
         u_left = _check_bc_value(self.problem.left_value(t), bounds, "inflow")
         u_right = outflow_extrapolate(q[-4:], bounds)
-        q = np.asarray(q, dtype=float)
-        rhs = q.copy()
-        rhs[0] -= u_left / 6.0
-        rhs[-1] -= u_right / 6.0
-        interior = solve_open_weighting(4.0, rhs)
-        report = LimiterReport()
-        if self.bp_limit:
-            # with the end values, (u_left + 4 x_0 + x_1)/6 = q_0: q are the means
-            interior, report = limit_bounds_segment(
-                interior, bounds, 4.0, left=u_left, right=u_right, means=q)
-        return np.concatenate(([u_left], interior, [u_right])), report
+        return _recover_interior(self, np.asarray(q, dtype=float), u_left, u_right)
 
 
 def _banded_end_aware(first_row, interior_row, values, mirror_sign):
@@ -215,12 +223,7 @@ class DirichletConvDiffScheme(Scheme):
         report = LimiterReport()
         if self.bp_limit:
             v, report = limit_bounds_segment(v, bounds, 10.0, edge_rows=True, means=w)
-        rhs = v.copy()
-        rhs[0] -= u_left / 6.0
-        rhs[-1] -= u_right / 6.0
-        interior = solve_open_weighting(4.0, rhs)
+        state, rep = _recover_interior(self, v, u_left, u_right)
         if self.bp_limit:
-            interior, rep = limit_bounds_segment(interior, bounds, 4.0,
-                                                 left=u_left, right=u_right, means=v)
             report = report.merge(rep)
-        return np.concatenate(([u_left], interior, [u_right])), report
+        return state, report

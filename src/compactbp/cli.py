@@ -20,6 +20,7 @@ from dataclasses import fields
 from .harness import (ConfigError, RunConfig, format_study_table,
                       run_convergence_study, run_single)
 from .problems import BUILTIN_IDS
+from .timeint import METHODS
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -66,7 +67,7 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="6th-order first-derivative family parameter in (1/3, 5/9]")
     parser.add_argument("--alpha2", type=float,
                         help="6th-order second-derivative family parameter in (2/11, 60/113]")
-    parser.add_argument("--integrator", choices=("fe", "ms4", "rk4"))
+    parser.add_argument("--integrator", choices=tuple(METHODS))
     parser.add_argument("--T", type=float, help="final time (problem default if omitted)")
     parser.add_argument("--bp-limiter", action="store_const", const=True,
                         dest="bp_limiter", default=None,
@@ -82,9 +83,7 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    defaults = {"order": 4, "integrator": "ms4", "n": 100, "dt_scale": "cfl",
-                "bp_limiter": False}
-    merged: dict = dict(defaults)
+    merged: dict = {}
     if args.config:
         for key, raw in parse_config_file(args.config).items():
             if key == "N":
@@ -99,7 +98,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             key = "n"
         if value is not None:
             merged[key] = value
-    if "problem" not in merged or merged.get("problem") is None:
+    if merged.get("problem") is None:
         raise SystemExit("error: --problem is required (flag or config file)")
     if merged["problem"] not in BUILTIN_IDS:
         raise ValueError(f"unknown problem {merged['problem']!r}")

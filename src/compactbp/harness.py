@@ -1,11 +1,9 @@
 """Experiment engine: single runs, convergence studies, CSV emission.
 
 Time steps follow the weak-monotonicity constants scaled by the method's
-schedule factor: forward Euler runs at the full admissible step, the
-multistep method at 0.1648 of it, and Runge-Kutta at five times the
-multistep step (same number of spatial operator evaluations per unit
-time).  The target step is then shrunk to the nearest divisor of the
-final time, so runs are reproducible and hit T exactly.
+schedule factor in ``timeint.METHODS``.  The target step is then shrunk
+to the nearest divisor of the final time, so runs are reproducible and
+hit T exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from .limiters import LimiterReport
 from .problems import builtin
 from .schemes1d import PeriodicScheme1D, StepContext, max_stable_dt
 from .schemes2d import PeriodicScheme2D, Problem2D, StepContext2D
-from .timeint import IntegratorSpec, integrate_to, step_count
+from .timeint import METHODS, integrate_to, step_count
 
 
 class ConfigError(ValueError):
@@ -57,7 +55,8 @@ class RunConfig:
             if getattr(self, name) is not None and self.order != 6:
                 raise ValueError(f"{name} selects a 6th-order scheme; "
                                  f"order {self.order} takes no family parameter")
-        IntegratorSpec(self.integrator)  # rejects an unknown method
+        if self.integrator not in METHODS:
+            raise ValueError(f"unknown method {self.integrator!r}")
         if self.dt_scale not in ("cfl", "dx2"):
             raise ValueError("dt_scale must be 'cfl' or 'dx2'")
         if self.T is not None and not (math.isfinite(self.T) and self.T > 0):
@@ -135,7 +134,7 @@ def build_scheme(config: RunConfig, n: int):
             dt_fe = min(dt_fe, config.dt_cap)
         if not math.isfinite(dt_fe):
             raise ValueError(f"{problem.name} has no CFL-limited time step; set dt_cap")
-        target = IntegratorSpec(config.integrator).schedule_factor * dt_fe
+        target = METHODS[config.integrator].schedule * dt_fe
         T = _final_time(config, problem)
         dt = T / step_count(T, target)
     except ValueError as exc:
@@ -175,10 +174,9 @@ def run_level(config: RunConfig, n: int):
     """Solve one grid level; returns a result dict."""
     problem, scheme, dt = build_scheme(config, n)
     T = _final_time(config, problem)
-    spec = IntegratorSpec(method=config.integrator)
     t_start = time.perf_counter()
     u0, _ = scheme.initial_state()
-    state, log, report = integrate_to(scheme, T, spec, dt=dt)
+    state, log, report = integrate_to(scheme, T, config.integrator, dt=dt)
     wall = time.perf_counter() - t_start
     vol = _cell_volume(problem, scheme)
     conservation = abs(float(state.sum()) - float(u0.sum())) * vol

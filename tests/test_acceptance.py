@@ -17,8 +17,7 @@ from compactbp.operators import (WeightOperator, apply_weighting,
                                  first_derivative_coefficients, recovery_chain,
                                  second_derivative_coefficients, solve_weighting)
 from compactbp.schemes1d import PeriodicScheme1D, StepContext
-from compactbp.timeint import (MS4_ALPHA, MS4_BETA, RK54_STAGES, IntegratorSpec,
-                               SspIntegrator)
+from compactbp.timeint import METHODS, SspIntegrator
 
 _conservation_log: list[tuple[str, int, float, float, float]] = []
 
@@ -107,9 +106,8 @@ class TestCriterion5:
         cfg = RunConfig(problem="linadv-step", order=4, integrator="ms4",
                         T=10.0, n=100, bp_limiter=True, tvb=5.0)
         problem, scheme, dt = build_scheme(cfg, 100)
-        spec = IntegratorSpec("ms4")
         nsteps = round(10.0 / dt)
-        integ = SspIntegrator(scheme, spec, dt).start(scheme.initial_state()[0])
+        integ = SspIntegrator(scheme, "ms4", dt).start(scheme.initial_state()[0])
         u0 = integ.state.copy()
         lo = hi = 0.0
         for _ in range(nsteps):
@@ -298,31 +296,33 @@ class TestCriterion10:
         _report(10, "weighting round trips <= 1e-12")
 
     def test_integrator_order_conditions(self):
-        for k in range(5):
-            res = sum(a * (-i) ** k for i, a in MS4_ALPHA.items())
-            if k >= 1:
-                res += sum(k * b * (-i) ** (k - 1) for i, b in MS4_BETA.items())
-            res -= 1.0 if k == 0 else 0.0
-            assert abs(res) < 1e-12
-        s = len(RK54_STAGES)
-        stage_vals = np.zeros((s + 1, s))
-        for i, terms in enumerate(RK54_STAGES, start=1):
-            for j, a, b in terms:
-                stage_vals[i] += a * stage_vals[j]
-                stage_vals[i, j] += b
-        A = np.zeros((s, s))
-        A[1:, :] = stage_vals[1:s, :]
-        b = stage_vals[s]
-        c = A.sum(axis=1)
-        assert abs(b.sum() - 1.0) < 1e-12
-        assert abs(b @ c - 0.5) < 1e-12
-        assert abs(b @ c ** 2 - 1 / 3) < 1e-12
-        assert abs(b @ (A @ c) - 1 / 6) < 1e-12
-        assert abs(b @ c ** 3 - 1 / 4) < 1e-12
-        assert abs((b * c) @ (A @ c) - 1 / 8) < 1e-12
-        assert abs(b @ (A @ c ** 2) - 1 / 12) < 1e-12
-        assert abs(b @ (A @ (A @ c)) - 1 / 24) < 1e-12
-        _report(10, "multistep and Runge-Kutta order conditions hold to 1e-12")
+        orders = {"fe": 1, "rk4": 4, "ms4": 4}
+        assert orders.keys() == METHODS.keys()
+        for name, row in METHODS.items():
+            p = orders[name]
+            if row.tableau is not None:
+                alpha, beta = row.tableau
+                for k in range(p + 1):
+                    res = sum(a * (-i) ** k for i, a in alpha.items())
+                    if k >= 1:
+                        res += sum(k * b * (-i) ** (k - 1) for i, b in beta.items())
+                    res -= 1.0 if k == 0 else 0.0
+                    assert abs(res) < 1e-12, name
+            s = len(row.stages)
+            stage_vals = np.zeros((s + 1, s))
+            for i, terms in enumerate(row.stages, start=1):
+                for j, a, b in terms:
+                    stage_vals[i] += a * stage_vals[j]
+                    stage_vals[i, j] += b
+            A, b = stage_vals[:s], stage_vals[s]
+            c = A.sum(axis=1)
+            conds = [(1, b.sum() - 1.0), (2, b @ c - 0.5),
+                     (3, b @ c ** 2 - 1 / 3), (3, b @ (A @ c) - 1 / 6),
+                     (4, b @ c ** 3 - 1 / 4), (4, (b * c) @ (A @ c) - 1 / 8),
+                     (4, b @ (A @ c ** 2) - 1 / 12), (4, b @ (A @ (A @ c)) - 1 / 24)]
+            assert all(abs(res) < 1e-12 for q, res in conds if q <= p), name
+        _report(10, "order conditions of every METHODS row (fe 1, rk4 4, ms4 4) "
+                    "hold to 1e-12")
 
     def test_weak_monotonicity_brute_force(self):
         from compactbp.limiters import Bounds as B

@@ -317,13 +317,17 @@ class TestCli:
         assert main(["solve", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: unknown problem 'nope'\n"
 
-    @pytest.mark.parametrize("line", ["foo = 10", "config = x"])
-    def test_unknown_key_in_config_file(self, tmp_path, capsys, line):
+    # the last case is a known key whose value names no METHODS row
+    @pytest.mark.parametrize("line, message", [
+        ("foo = 10", "unknown key 'foo'"),
+        ("config = x", "unknown key 'config'"),
+        ("integrator = rk9", "unknown method 'rk9'"),
+    ], ids=["foo = 10", "config = x", "integrator = rk9"])
+    def test_unknown_key_in_config_file(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"problem = linadv-sin4\n{line}\n")
         assert main(["solve", "--config", str(cfg)]) == 2
-        key = line.split(" = ")[0]
-        assert capsys.readouterr().err == f"error: unknown key '{key}'\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bare_tvb_flag_defaults_to_five(self, capsys):
         code = main(["solve", "--problem", "linadv-step", "--N", "24",

@@ -19,7 +19,7 @@ from compactbp.limiters import WeakMonotonicityError
 from compactbp.problems import builtin
 from compactbp.schemes1d import PeriodicScheme1D, StepContext
 from compactbp.schemes2d import PeriodicScheme2D, StepContext2D
-from compactbp.timeint import MS4_STEPS, IntegratorSpec, SspIntegrator
+from compactbp.timeint import METHODS, SspIntegrator
 
 PUSH = 1e-9  # far beyond the bounds' default slack of 1e-12
 
@@ -124,8 +124,9 @@ def _count_calls(monkeypatch, names):
 def test_weightings_per_multistep_step(monkeypatch, kwargs, applies, solves):
     config = RunConfig(n=40, T=0.5, bp_limiter=True, integrator="ms4", **kwargs)
     _, scheme, dt = build_scheme(config, config.n)
-    integ = SspIntegrator(scheme, IntegratorSpec("ms4"), dt).start(scheme.initial_state()[0])
-    for _ in range(MS4_STEPS - 1):  # Runge-Kutta steps fill the history window
+    integ = SspIntegrator(scheme, "ms4", dt).start(scheme.initial_state()[0])
+    window = max(METHODS["ms4"].tableau[0])
+    for _ in range(window - 1):  # Runge-Kutta steps fill the history window
         integ.advance()
     counts = _count_calls(monkeypatch, ["apply_weighting", "solve_weighting"])
     steps = 3

@@ -18,7 +18,7 @@ from compactbp.limiters import Bounds
 from compactbp.problems import builtin
 from compactbp.schemes1d import CflError, PeriodicScheme1D, Problem1D, StepContext
 from compactbp.schemes2d import PeriodicScheme2D, Problem2D, StepContext2D
-from compactbp.timeint import IntegratorSpec, SspIntegrator
+from compactbp.timeint import SspIntegrator
 
 SCHEMES = [
     ("linadv-sin4-half", 8, PeriodicScheme1D),
@@ -43,7 +43,7 @@ def test_euler_step_is_one_integrator_step(problem, order, cls):
     u0, t0 = scheme.initial_state()
     for t in (t0, t0 + 3 * dt):
         u_step, _, _ = scheme.euler_step(u0, dt, t)
-        u_integ = SspIntegrator(scheme, IntegratorSpec("fe"), dt).start(u0, t).advance()
+        u_integ = SspIntegrator(scheme, "fe", dt).start(u0, t).advance()
         assert np.array_equal(u_step.view(np.int64), u_integ.view(np.int64))
 
 
@@ -55,7 +55,7 @@ def test_inadmissible_dt_is_refused_by_both(problem, order, cls):
     with pytest.raises(CflError):
         scheme.euler_step(u0, dt)
     with pytest.raises(CflError):
-        SspIntegrator(scheme, IntegratorSpec("fe"), dt)
+        SspIntegrator(scheme, "fe", dt)
 
 
 def test_rhs_means_takes_the_callers_means():
@@ -76,7 +76,7 @@ def test_rhs_means_takes_the_callers_means():
     scheme.euler_step(u0, dt)
     assert len(calls) == 1
     calls.clear()
-    SspIntegrator(scheme, IntegratorSpec("rk4"), dt).start(u0).advance()
+    SspIntegrator(scheme, "rk4", dt).start(u0).advance()
     assert len(calls) == 6  # the start entry, four inner stages, the new entry
 
 

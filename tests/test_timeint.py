@@ -8,9 +8,10 @@ import pytest
 from compactbp.limiters import LimiterReport
 from compactbp.schemes1d import CflError, PeriodicScheme1D, StepContext
 from compactbp.problems import builtin
-from compactbp.timeint import (MS4_ALPHA, MS4_BETA, MS4_STEPS, RK54_STAGES,
-                               SSP_COEFF_MS4, SSP_COEFF_RK4, IntegratorSpec,
-                               RK54_TIMES, SspIntegrator, integrate_to)
+from compactbp.timeint import METHODS, SspIntegrator, integrate_to
+
+#: the order of accuracy each METHODS row must reach
+ORDERS = {"fe": 1, "rk4": 4, "ms4": 4}
 
 
 class OdeScheme:
@@ -34,80 +35,110 @@ class OdeScheme:
         return math.inf
 
 
-def shu_osher_to_butcher():
+def shu_osher_to_butcher(stages):
     """Expand the staged combinations into Butcher arrays (validation only)."""
-    s = len(RK54_STAGES)
+    s = len(stages)
     A = np.zeros((s + 1, s))
-    for i, terms in enumerate(RK54_STAGES, start=1):
+    for i, terms in enumerate(stages, start=1):
         for j, a, b in terms:
             A[i] += a * A[j]
             A[i, j] += b
-    return A[1:s, :s - 1 + 1], A[s]  # stage rows, final weights
+    return A[:s], A[s]  # stage rows (stage 0 is the step's start), final weights
+
+
+def butcher_residuals(stages, order):
+    """Residuals of the Runge-Kutta order conditions up to ``order`` <= 4."""
+    A, b = shu_osher_to_butcher(stages)
+    c = A.sum(axis=1)
+    conds = {
+        "p1": (1, b.sum() - 1.0),
+        "p2": (2, b @ c - 1 / 2),
+        "p3a": (3, b @ c ** 2 - 1 / 3),
+        "p3b": (3, b @ (A @ c) - 1 / 6),
+        "p4a": (4, b @ c ** 3 - 1 / 4),
+        "p4b": (4, (b * c) @ (A @ c) - 1 / 8),
+        "p4c": (4, b @ (A @ c ** 2) - 1 / 12),
+        "p4d": (4, b @ (A @ (A @ c)) - 1 / 24),
+    }
+    return {name: res for name, (p, res) in conds.items() if p <= order}
+
+
+def stage_times(stages):
+    """Time abscissae (in units of dt) of Shu-Osher stages."""
+    c = [0.0]
+    for terms in stages:
+        c.append(sum(a * c[j] + b for j, a, b in terms))
+    return c
+
+
+def ssp_ratio(row):
+    """Smallest alpha/beta ratio over a row's stages and tableau."""
+    pairs = [(a, b) for terms in row.stages for _, a, b in terms]
+    if row.tableau is not None:
+        alpha, beta = row.tableau
+        pairs += [(alpha[lag], b) for lag, b in beta.items()]
+    return min(a / b for a, b in pairs if b > 0)
 
 
 class TestMultistepTableau:
     def test_consistency_and_order_conditions(self):
-        # exactness on t^k, k = 0..4:
+        # exactness on t^k, k = 0..p:
         # sum alpha_i (-i)^k + k beta_i (-i)^(k-1) = delta_{k0}
-        for k in range(5):
-            res = sum(a * (-i) ** k for i, a in MS4_ALPHA.items())
+        alpha, beta = METHODS["ms4"].tableau
+        for k in range(ORDERS["ms4"] + 1):
+            res = sum(a * (-i) ** k for i, a in alpha.items())
             if k >= 1:
-                res += sum(k * b * (-i) ** (k - 1) for i, b in MS4_BETA.items())
+                res += sum(k * b * (-i) ** (k - 1) for i, b in beta.items())
             res -= 1.0 if k == 0 else 0.0
             assert abs(res) < 1e-12
 
     def test_nonnegative_and_ssp_coefficient(self):
-        assert all(a >= 0 for a in MS4_ALPHA.values())
-        assert all(b >= 0 for b in MS4_BETA.values())
-        ratio = min(MS4_ALPHA[i] / MS4_BETA[i] for i in MS4_BETA)
+        alpha, beta = METHODS["ms4"].tableau
+        ratio = min(alpha[i] / beta[i] for i in beta)
         # the optimal six-step ratio rounds to the quoted 0.1648
         assert ratio == pytest.approx(0.164759, abs=1e-5)
-        assert abs(SSP_COEFF_MS4 - 0.1648) < 1e-12
-        # the quoted schedule constant never exceeds the true ratio by more
-        # than round-off of the fourth digit
-        assert SSP_COEFF_MS4 <= ratio * 1.0003
+        assert abs(METHODS["ms4"].ssp - 0.1648) < 1e-12
 
 
 class TestRungeKuttaTableau:
+    """Every METHODS row: its Shu-Osher stages, and its tableau if any."""
+
     def test_stage_consistency(self):
-        for terms in RK54_STAGES:
-            assert sum(a for _, a, _ in terms) == pytest.approx(1.0, abs=2e-15)
+        for name, row in METHODS.items():
+            for terms in row.stages:
+                assert sum(a for _, a, _ in terms) == pytest.approx(1.0, abs=2e-15), name
+            coeffs = [x for terms in row.stages for _, a, b in terms for x in (a, b)]
+            if row.tableau is not None:
+                coeffs += [x for part in row.tableau for x in part.values()]
+            assert min(coeffs) >= 0, name
 
     def test_butcher_order_conditions(self):
-        A_stage, b = shu_osher_to_butcher()
-        s = len(b)
-        A = np.zeros((s, s))
-        A[1:, :] = A_stage[:, :s]
-        c = A.sum(axis=1)
-        e = np.ones(s)
-        conds = {
-            "p1": b @ e - 1.0,
-            "p2": b @ c - 1 / 2,
-            "p3a": b @ c ** 2 - 1 / 3,
-            "p3b": b @ (A @ c) - 1 / 6,
-            "p4a": b @ c ** 3 - 1 / 4,
-            "p4b": (b * c) @ (A @ c) - 1 / 8,
-            "p4c": b @ (A @ c ** 2) - 1 / 12,
-            "p4d": b @ (A @ (A @ c)) - 1 / 24,
-        }
-        for name, res in conds.items():
-            assert abs(res) < 1e-12, name
+        for name, row in METHODS.items():
+            for cond, res in butcher_residuals(row.stages, ORDERS[name]).items():
+                assert abs(res) < 1e-12, (name, cond)
 
     def test_ssp_coefficient(self):
-        ratios = [a / bb for terms in RK54_STAGES for _, a, bb in terms if bb > 0]
-        assert min(ratios) == pytest.approx(1.50818, abs=1e-4)
-        assert abs(SSP_COEFF_RK4 - 1.508) < 1e-12
+        assert ssp_ratio(METHODS["rk4"]) == pytest.approx(1.50818, abs=1e-4)
+        assert abs(METHODS["rk4"].ssp - 1.508) < 1e-12
+        for name, row in METHODS.items():
+            # the quoted ms4 constant exceeds the true ratio by no more than
+            # round-off of its fourth digit
+            slack = 1.0003 if name == "ms4" else 1.0
+            assert row.ssp <= ssp_ratio(row) * slack, name
+            # the step the harness schedules passes the integrator's check
+            assert row.schedule <= row.ssp, name
 
     def test_stage_times_end_at_one(self):
-        assert RK54_TIMES[0] == 0.0
-        assert RK54_TIMES[-1] == pytest.approx(1.0, abs=1e-12)
+        for name, row in METHODS.items():
+            times = stage_times(row.stages)
+            assert times[0] == 0.0
+            assert times[-1] == pytest.approx(1.0, abs=1e-12), name
 
 
 class TestOdeOrders:
     def _solve(self, method, f, u0, T, nsteps):
         scheme = OdeScheme(f)
-        spec = IntegratorSpec(method=method)
-        integ = SspIntegrator(scheme, spec, T / nsteps).start(np.array(u0))
+        integ = SspIntegrator(scheme, method, T / nsteps).start(np.array(u0))
         for _ in range(nsteps):
             integ.advance()
         return float(integ.state)
@@ -115,7 +146,7 @@ class TestOdeOrders:
     def test_zero_rhs_fixed_point(self):
         # multistep/stage recombination rounds at each add, so "unchanged"
         # means unchanged to accumulation-level round-off
-        for method in ("fe", "rk4", "ms4"):
+        for method in METHODS:
             out = self._solve(method, lambda u, t: 0.0 * u, 0.7, 1.0, 12)
             assert out == pytest.approx(0.7, abs=5e-13)
 
@@ -153,21 +184,21 @@ class TestDriver:
 
     def test_single_step_when_T_equals_dt(self):
         scheme, dt = self._scheme()
-        state, log, _ = integrate_to(scheme, dt, IntegratorSpec("ms4"), dt=dt)
+        state, log, _ = integrate_to(scheme, dt, "ms4", dt=dt)
         assert len(log) == 1
         assert log[-1] == pytest.approx(dt, rel=1e-15)
 
     def test_log_times_hit_T_exactly(self):
         scheme, dt = self._scheme()
         T = 0.37
-        state, log, _ = integrate_to(scheme, T, IntegratorSpec("ms4"), dt=dt)
+        state, log, _ = integrate_to(scheme, T, "ms4", dt=dt)
         assert log[-1] == T  # exact, not approximate
         assert len(log) == int(np.ceil(T / dt))
 
     def test_full_period_returns_to_initial(self):
         scheme, dt = self._scheme(n=100)
         T = 2 * np.pi  # one revolution at unit speed
-        state, log, _ = integrate_to(scheme, T, IntegratorSpec("ms4"), dt=dt)
+        state, log, _ = integrate_to(scheme, T, "ms4", dt=dt)
         u0, _ = scheme.initial_state()
         l1 = scheme.ctx.dx * np.abs(state - u0).sum()
         assert l1 < 5e-4  # bounded by the discretization error
@@ -175,35 +206,45 @@ class TestDriver:
     def test_dt_too_large_raises(self):
         scheme, dt = self._scheme()
         with pytest.raises(CflError):
-            SspIntegrator(scheme, IntegratorSpec("ms4"), 10 * dt)
+            SspIntegrator(scheme, "ms4", 10 * dt)
 
     def test_unstarted_integrator(self):
         scheme, dt = self._scheme()
         with pytest.raises(RuntimeError):
-            SspIntegrator(scheme, IntegratorSpec("ms4"), dt).advance()
+            SspIntegrator(scheme, "ms4", dt).advance()
 
     def test_advance_function_fallback(self):
         # a bare state carries no history window: the multistep selection
         # falls back to the Runge-Kutta priming step
         scheme, dt = self._scheme()
         u0, _ = scheme.initial_state()
-        out = SspIntegrator(scheme, IntegratorSpec("ms4"), dt).start(u0).advance()
+        out = SspIntegrator(scheme, "ms4", dt).start(u0).advance()
         assert out.shape == u0.shape
         assert np.isfinite(out).all()
 
-    def test_ms_priming_window(self):
+    def test_unknown_method(self):
         scheme, dt = self._scheme()
-        integ = SspIntegrator(scheme, IntegratorSpec("ms4"), dt)
+        with pytest.raises(ValueError, match="unknown method 'rk9'"):
+            SspIntegrator(scheme, "rk9", dt)
+
+    def test_ms_priming_window(self):
+        # a one-step method keeps only the newest (u, means, rhs) entry;
+        # ms4 keeps its six-step window
+        scheme, dt = self._scheme()
         u0, _ = scheme.initial_state()
-        integ.start(u0)
-        for _ in range(MS4_STEPS + 2):
-            integ.advance()
-        assert len(integ._hist) == MS4_STEPS
+        windows = {"fe": 1, "rk4": 1, "ms4": 6}
+        assert windows.keys() == METHODS.keys()
+        for method, window in windows.items():
+            integ = SspIntegrator(scheme, method, dt).start(u0)
+            for _ in range(8):
+                integ.advance()
+                assert len(integ._hist) <= window
+            assert len(integ._hist) == window, method
 
     def test_stage_limited_states_stay_bounded(self):
         scheme, dt = self._scheme(n=64)
         bounds = scheme.bounds
-        integ = SspIntegrator(scheme, IntegratorSpec("rk4"), 5 * dt)
+        integ = SspIntegrator(scheme, "rk4", 5 * dt)
         u0, _ = scheme.initial_state()
         integ.start(u0)
         for _ in range(30):
