@@ -4,8 +4,11 @@ Provides the coefficient families for 4th/6th/8th-order implicit (Pade-type)
 approximations of first and second derivatives, the normalized tridiagonal
 weighting matrices ``(1, c, 1)/(c+2)`` they induce, the c-values of the
 tridiagonal factors (``c >= 2``) of the pentadiagonal weightings, and
-O(N) cyclic/open tridiagonal solvers for their inversion, which reuse
-LAPACK LU factors cached per grid size and weighting.
+cyclic/open tridiagonal solvers for their inversion.  The open solve and a
+single periodic line reuse LAPACK LU factors cached per grid size and
+weighting (O(N) per line).  A periodic solve over many lines is one
+matrix product by the dense circulant inverse, cached per grid size and
+weighting at the memory of one n-by-n field.
 
 All operators are immutable after construction and safe to share between
 concurrently running solver instances.
@@ -265,23 +268,47 @@ def _cyclic_workspace(n: int, c: float):
     return factors, z, vvec, denom
 
 
-def solve_weighting(w: WeightOperator, rhs: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Solve ``W x = rhs`` for a periodic weighting in O(N).
+def _lu_cyclic_solve(c: float, rhs: np.ndarray) -> np.ndarray:
+    """LU solve of the tridiagonal part plus the rank-one correction
+    (``rhs`` of shape (n, m))."""
+    factors, z, vvec, denom = _cyclic_workspace(rhs.shape[0], c)
+    y = _gttrs(factors, rhs)
+    corr = (vvec @ y) / denom
+    return y - z[:, None] * corr[None, :]
 
-    LU solve of the cyclic system's tridiagonal part on factors cached per
-    ``(n, c)``, with a rank-one correction; the residual satisfies
+
+@lru_cache(maxsize=32)
+def _cyclic_inverse(n: int, c: float) -> np.ndarray:
+    """Read-only dense inverse of the periodic (1, c, 1)/(c+2) system.
+
+    The columns are the LU solve of :func:`_cyclic_workspace` applied to
+    the identity, so a singular weighting raises as it does there.
+    """
+    inv = _lu_cyclic_solve(c, np.eye(n))
+    inv.flags.writeable = False
+    return inv
+
+
+def solve_weighting(w: WeightOperator, rhs: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Solve ``W x = rhs`` for a periodic weighting along every line of ``rhs``.
+
+    A single line (1D ``rhs``) is an O(N) LU solve of the cyclic system's
+    tridiagonal part on factors cached per ``(n, c)``, with a rank-one
+    correction.  Many lines are one product by the dense inverse, built
+    from the same factors at the first solve and cached per ``(n, c)``
+    (one n-by-n field): a serial LU sweep per line costs several times
+    the product on short lines.  The residual satisfies
     ``||W x - rhs||_inf <= 1e-12 * ||rhs||_inf``.  Non-finite input
     raises ``ValueError``.
     """
     rhs = np.asarray(rhs, dtype=float)
     w._check_size(rhs, axis)
     _check_finite(rhs)
+    if rhs.ndim == 1:
+        return _lu_cyclic_solve(w.c, rhs.reshape(-1, 1)).reshape(-1)
     moved = rhs.swapaxes(0, axis)
     n = moved.shape[0]
-    factors, z, vvec, denom = _cyclic_workspace(n, w.c)
-    y = _gttrs(factors, moved.reshape(n, -1))
-    corr = (vvec @ y) / denom
-    x = y - z[:, None] * corr[None, :]
+    x = _cyclic_inverse(n, w.c) @ moved.reshape(n, -1)
     return x.reshape(moved.shape).swapaxes(0, axis)
 
 

@@ -38,7 +38,10 @@ class CflError(ValueError):
 
 
 def check_dt(dt: float, admissible: float, what: str = "") -> None:
-    """Raise :class:`CflError` when ``dt`` exceeds ``admissible`` beyond round-off."""
+    """Raise :class:`CflError` when ``dt`` exceeds ``admissible`` beyond
+    round-off, and ``ValueError`` when it is not finite."""
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}{(' for ' + what) if what else ''}")
     if dt > admissible * (1.0 + 1e-9):
         raise CflError(dt, admissible, what)
 

@@ -83,10 +83,19 @@ def step_count(T: float, dt: float) -> int:
 
 
 def _combine(terms, entries):
-    """Sum ``c * entries[j][k]`` over the ``(c, j, k)`` terms, in order."""
-    q = 0.0
-    for c, j, k in terms:
-        q = q + c * entries[j][k]
+    """Sum ``c * entries[j][k]`` over the ``(c, j, k)`` terms, in order.
+
+    Accumulates in place into a fresh array, with the same round-off as
+    ``0.0 + c_0 x_0 + c_1 x_1 + ...``: the final ``+ 0.0`` turns a sum
+    of ``-0.0`` terms into ``+0.0``, as the leading ``0.0`` does.
+    """
+    (c, j, k), *rest = terms
+    q = np.multiply(c, entries[j][k])
+    term = np.empty_like(q)
+    for c, j, k in rest:
+        np.multiply(c, entries[j][k], out=term)
+        q += term
+    q += 0.0
     return q
 
 
@@ -102,8 +111,8 @@ class SspIntegrator:
     def __init__(self, scheme, method: str, dt: float):
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not math.isfinite(dt) or dt <= 0:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         row = METHODS[method]
         self.scheme = scheme
         self.method = method

@@ -11,7 +11,7 @@ from compactbp.operators import (
     apply_levels, difference_stencil,
     first_derivative_coefficients, recovery_chain,
     second_derivative_coefficients, solve_open_weighting, solve_weighting,
-    _cyclic_workspace, _tridiag_workspace,
+    _cyclic_inverse, _cyclic_workspace, _tridiag_workspace,
 )
 
 
@@ -314,7 +314,8 @@ class TestCompactDerivative:
 
 # ---------------------------------------------------------------------------
 # Kernel equivalence: the slice kernels and the cached LAPACK factors give
-# the same bits (signed zeros included) as the np.roll / solve_banded forms
+# the same bits (signed zeros included) as the np.roll / solve_banded forms;
+# a many-line solve by the cached inverse agrees up to round-off
 # ---------------------------------------------------------------------------
 
 def bits_equal(a, b):
@@ -426,10 +427,34 @@ class TestKernelEquivalence:
         for _ in range(20):
             rhs = awkward(rng, n)
             assert bits_equal(solve_weighting(w, rhs), banded_cyclic_solve(c, rhs))
+
+    @pytest.mark.parametrize("c", [4.0, 10.0] + FACTOR_CS)
+    @pytest.mark.parametrize("n", [3, 4, 7, 64, 320])
+    def test_cyclic_solve_many_lines_near_banded(self, c, n):
+        # many lines are one product by the cached inverse: round-off
+        # differs from the LU sweep, within a few ulps of each line's scale
+        rng = np.random.default_rng(n)
+        w = WeightOperator(c)
         R = awkward(rng, (n, 5))
-        for axis, arr in ((0, R), (1, R.T), (1, np.ascontiguousarray(R.T))):
-            assert bits_equal(solve_weighting(w, arr, axis=axis),
-                              banded_cyclic_solve(c, arr, axis))
+        for axis, arr in ((0, R), (0, np.asfortranarray(R)),
+                          (1, R.T), (1, np.ascontiguousarray(R.T))):
+            got = solve_weighting(w, arr, axis=axis)
+            want = banded_cyclic_solve(c, arr, axis)
+            assert got.shape == arr.shape
+            # memory layout of the LU form: C order along axis 0, F along 1
+            assert got.strides == want.strides
+            scale = np.abs(arr).max(axis=axis, keepdims=True)
+            assert (np.abs(got - want) <= 64 * np.finfo(float).eps * scale).all()
+            res = np.abs(apply_weighting(w, got, axis=axis) - arr).max()
+            assert res <= 1e-12 * np.abs(arr).max()
+
+    @pytest.mark.parametrize("c", [4.0, 10.0])
+    def test_axis1_solve_is_transposed_axis0_solve(self, c):
+        rng = np.random.default_rng(25)
+        w = WeightOperator(c)
+        for R in (awkward(rng, (16, 9)), np.asfortranarray(awkward(rng, (16, 9)))):
+            assert np.array_equal(solve_weighting(w, R, axis=1).view(np.int64),
+                                  solve_weighting(w, R.T, axis=0).T.view(np.int64))
 
     @pytest.mark.parametrize("c", [4.0, 10.0, 12.3])
     @pytest.mark.parametrize("edge_rows", [False, True])
@@ -457,7 +482,8 @@ class TestKernelEquivalence:
     def test_cached_workspaces_are_read_only(self):
         # every caller shares the cached arrays, so none may change them
         factors, z, vvec, _ = _cyclic_workspace(9, 4.0)
-        for arr in (*factors, z, vvec, *_tridiag_workspace(9, 10.0, True)):
+        for arr in (*factors, z, vvec, *_tridiag_workspace(9, 10.0, True),
+                    _cyclic_inverse(9, 4.0)):
             assert not arr.flags.writeable
 
 
@@ -476,6 +502,14 @@ class TestSolveNonFinite:
         rhs[5, 1] = np.inf
         with pytest.raises(ValueError, match=r"at index \(4, 2\)"):
             solve_weighting(WeightOperator(10.0), rhs, axis=axis)
+
+    def test_cyclic_many_lines_names_index(self):
+        # the check runs before the product, which would spread the NaN
+        rhs = np.ones((64, 64))
+        rhs[40, 3] = np.nan
+        for axis in (0, 1):
+            with pytest.raises(ValueError, match=r"non-finite value nan at index \(40, 3\)$"):
+                solve_weighting(WeightOperator(10.0), rhs, axis=axis)
 
     @pytest.mark.parametrize("edge_rows", [False, True])
     def test_open_names_index(self, edge_rows):

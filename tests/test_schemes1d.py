@@ -83,6 +83,12 @@ class TestEulerConvection:
             scheme.euler_step(np.zeros(8), 0.4)
         assert err.value.admissible == pytest.approx(1 / 3, rel=1e-12)
 
+    def test_non_finite_dt_names_the_step(self):
+        # nan compares false with the admissible step, so it is checked apart
+        scheme = PeriodicScheme1D(linear_advection(), StepContext.create(1.0, 4))
+        with pytest.raises(ValueError, match="dt must be finite, got nan"):
+            scheme.euler_step(np.zeros(8), np.nan)
+
 
 class TestEulerConvDiff:
     def _problem(self, d=0.001):

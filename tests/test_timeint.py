@@ -8,7 +8,7 @@ import pytest
 from compactbp.limiters import LimiterReport
 from compactbp.schemes1d import CflError, PeriodicScheme1D, StepContext
 from compactbp.problems import builtin
-from compactbp.timeint import METHODS, SspIntegrator, integrate_to
+from compactbp.timeint import METHODS, SspIntegrator, _combine, integrate_to
 
 #: the order of accuracy each METHODS row must reach
 ORDERS = {"fe": 1, "rk4": 4, "ms4": 4}
@@ -208,6 +208,12 @@ class TestDriver:
         with pytest.raises(CflError):
             SspIntegrator(scheme, "ms4", 10 * dt)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_dt_names_the_step(self, bad):
+        scheme, _ = self._scheme()
+        with pytest.raises(ValueError, match=f"dt must be positive and finite, got {bad}"):
+            SspIntegrator(scheme, "ms4", bad)
+
     def test_unstarted_integrator(self):
         scheme, dt = self._scheme()
         with pytest.raises(RuntimeError):
@@ -251,3 +257,41 @@ class TestDriver:
             u = integ.advance()
             assert u.min() >= bounds.lower - 1e-13
             assert u.max() <= bounds.upper + 1e-13
+
+
+def loop_combine(terms, entries):
+    """The out-of-place sum ``0.0 + c_0 x_0 + c_1 x_1 + ...`` (reference)."""
+    q = 0.0
+    for c, j, k in terms:
+        q = q + c * entries[j][k]
+    return q
+
+
+class TestCombine:
+    def test_matches_loop_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for shape in ((40,), (8, 6), (6, 8)):
+            for nterms in (1, 2, 7):
+                coefs = rng.uniform(-1, 1, nterms)
+                entries = []
+                for c in coefs:
+                    x = rng.normal(size=shape)
+                    flat = x.reshape(-1)
+                    flat[::3] = 0.0
+                    flat[1::4] = -0.0
+                    flat[:4] = -0.0 * np.sign(c)  # every product is -0.0 there
+                    entries.append((None, x, x))
+                terms = [(c, j, 1) for j, c in enumerate(coefs)]
+                # a term and its negation cancel to an exact zero
+                terms += [(coefs[0], 0, 2), (-coefs[0], 0, 1)]
+                for ts in (terms[:1], terms):
+                    got, want = _combine(ts, entries), loop_combine(ts, entries)
+                    assert got.shape == want.shape
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                    assert not np.signbit(got.reshape(-1)[:4]).any()
+
+    def test_leaves_entries_unchanged(self):
+        x, y = np.ones(5), np.full(5, 2.0)
+        entries = [(x, x, y)]
+        _combine([(0.5, 0, 1), (0.25, 0, 2)], entries)
+        assert (x == 1.0).all() and (y == 2.0).all()
