@@ -15,7 +15,7 @@ from .operators import (CoefficientDomainError, CoefficientSet, DiffStencil,
                         first_derivative_coefficients, recovery_chain,
                         second_derivative_coefficients, solve_weighting)
 from .schemes1d import (CflError, PeriodicScheme1D, Problem1D, Scheme,
-                        StepContext, max_stable_dt, periodic_grid)
+                        StepContext, max_stable_dt)
 from .schemes2d import PeriodicScheme2D, Problem2D, StepContext2D
 from .boundary import (DirichletConvDiffScheme, InflowOutflowScheme,
                        outflow_extrapolate)

@@ -16,8 +16,11 @@ Out-of-range points come in two flavours and are treated differently:
   the clamping error is rebalanced proportionally across the run and its
   two in-range end points.
 
-Every entry point runs on one batched core that limits all lines of an
-array along one axis at once, so a 2D cascade level is a single call.
+Periodic lines and open segments follow the same rule; only whether the
+points beyond a line's ends wrap differs.  Every entry point runs on one
+batched core that limits all lines of an array along one axis at once,
+so a 2D cascade level is a single call, and one classifier,
+``classify_sets``, finds the sawtooth sets of either kind of line.
 All functions are pure: they never mutate their inputs and hold no state.
 """
 
@@ -95,55 +98,40 @@ class LimiterReport:
 
 @dataclass(frozen=True)
 class SetClassification:
-    """The sawtooth sets of a periodic field.
+    """The sawtooth sets of one line.
 
-    Each entry is a cyclic index range ``(start, length)`` inclusive of the
-    two in-range end points flanking an out-of-range run that contains
-    both overshoot and undershoot points.  ``whole_circle`` is set only
-    when no in-range point exists.
+    Each entry is the index range ``(start, length)``, cyclic on a periodic
+    line, of a mixed-sign out-of-range run and the in-range point on each
+    side of it (one only where a run touches a segment end).
+    ``whole_circle`` is set only when a periodic line has no in-range point.
     """
 
     sawtooth_sets: tuple[tuple[int, int], ...]
     whole_circle: bool = False
 
 
-def _cyclic_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal cyclic runs of True in ``mask`` as (start, length) pairs."""
-    n = mask.size
-    if mask.all():
-        return [(0, n)]
-    if not mask.any():
-        return []
-    k = int(np.argmin(mask))  # index of some False entry
-    rolled = np.roll(mask, -k)
-    padded = np.concatenate(([False], rolled, [False]))
-    d = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(d == 1)
-    ends = np.flatnonzero(d == -1)
-    return [(int((s + k) % n), int(e - s)) for s, e in zip(starts, ends)]
-
-
-def classify_sets(u: np.ndarray, bounds: Bounds) -> SetClassification:
-    """Locate sawtooth runs (mixed-sign excursions) in periodic data."""
+def classify_sets(u: np.ndarray, bounds: Bounds, periodic: bool = True) -> SetClassification:
+    """Locate sawtooth runs (mixed-sign excursions) in a periodic line or open segment."""
     u = np.asarray(u, dtype=float)
     lo, hi = bounds.span
     n = u.size
-    over = u > hi
-    under = u < lo
+    over, under = u > hi, u < lo
     out = over | under
-    if out.all():
+    if periodic and out.all():
         return SetClassification(((0, n),), whole_circle=True)
-    sawtooth = []
-    for start, length in _cyclic_runs(out):
-        idx = (start + np.arange(length)) % n
-        if over[idx].any() and under[idx].any():
-            if length == n - 1:
-                # single in-range point: both flanks coincide and the whole
-                # circle participates in the rebalance
-                sawtooth.append(((start - 1) % n, n))
-            else:
-                sawtooth.append(((start - 1) % n, length + 2))
-    return SetClassification(tuple(sorted(sawtooth)))
+    # a periodic line is scanned from an in-range point, so no run wraps
+    k = int(np.argmin(out)) if periodic else 0
+    over, under, out = (np.roll(a, -k) for a in (over, under, out))
+    edges = np.diff(np.concatenate(([0], out.astype(np.int8), [0])))
+    starts, ends = (np.flatnonzero(edges == d).tolist() for d in (1, -1))
+    sets = []
+    for s, e in zip(starts, ends):
+        if over[s:e].any() and under[s:e].any():
+            # the flanks wrap on a circle (and coincide when it has one
+            # in-range point) and are clipped to a segment
+            first, last = (s - 1, e) if periodic else (max(s - 1, 0), min(e, n - 1))
+            sets.append(((first + k) % n, min(last - first + 1, n)))
+    return SetClassification(tuple(sorted(sets)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,25 +147,6 @@ def _first(mask, values, shape, axis):
     mask, values = (a.reshape(shape).swapaxes(0, axis) for a in (mask, values))
     idx = tuple(int(i) for i in np.argwhere(mask)[0])
     return (idx[0] if len(idx) == 1 else idx), float(values[idx])
-
-
-def _sawtooth_sets(line, bounds, periodic):
-    """Member indices of the sawtooth sets of one line, and the whole-circle flag.
-
-    A set is a mixed-sign out-of-range run plus its two in-range end
-    points; on an open segment a run touching an end has only one.
-    """
-    if periodic:
-        cls = classify_sets(line, bounds)
-        n = line.size
-        return [(s + np.arange(k)) % n for s, k in cls.sawtooth_sets], cls.whole_circle
-    lo, hi = bounds.span
-    over, under = line > hi, line < lo
-    edges = np.diff(np.concatenate(([0], (over | under).astype(np.int8), [0])))
-    sets = [np.arange(max(s - 1, 0), min(e, line.size - 1) + 1)
-            for s, e in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))
-            if over[s:e].any() and under[s:e].any()]
-    return sets, False
 
 
 def _transfer(U, V, sides, sets, lo, hi, tol, ends, shape, axis):
@@ -296,15 +265,16 @@ def _weighted_means(U, c, ends):
     """The c-weighted means of the ``(n, lines)`` array ``U`` (see ``_limit``)."""
     if ends is None:
         return apply_weighting(WeightOperator(c), U)
-    if isinstance(ends, str):
-        means = np.empty_like(U)
-        means[1:-1] = (U[:-2] + c * U[1:-1] + U[2:]) / (c + 2.0)
+    # three-point means with a ghost row beyond each end: the fixed end
+    # values, or placeholders that the two-point end rows replace
+    edge = isinstance(ends, str)
+    ext = np.empty((U.shape[0] + 2, U.shape[1]))
+    ext[0], ext[1:-1], ext[-1] = (0.0, U, 0.0) if edge else (ends[0], U, ends[1])
+    means = (ext[:-2] + c * ext[1:-1] + ext[2:]) / (c + 2.0)
+    if edge:
         means[0] = (c * U[0] + U[1]) / (c + 1.0)
         means[-1] = (U[-2] + c * U[-1]) / (c + 1.0)
-        return means
-    ext = np.empty((U.shape[0] + 2, U.shape[1]))
-    ext[0], ext[1:-1], ext[-1] = ends[0], U, ends[1]
-    return (ext[:-2] + c * ext[1:-1] + ext[2:]) / (c + 2.0)
+    return means
 
 
 def _limit(u, bounds, c, axis, ends, means=None):
@@ -370,9 +340,10 @@ def _limit(u, bounds, c, axis, ends, means=None):
             mixed |= (over[0] & under[-1]) | (under[0] & over[-1])
     sets = []
     for k in mixed.nonzero()[0]:
-        members, whole = _sawtooth_sets(U[:, k], bounds, periodic)
-        report.whole_circle_fallback |= whole
-        for idx in members:
+        cls = classify_sets(U[:, k], bounds, periodic)
+        report.whole_circle_fallback |= cls.whole_circle
+        for start, length in cls.sawtooth_sets:
+            idx = (start + np.arange(length)) % n
             sets.append((k, idx))
             for src in sources:
                 src[idx, k] = False
@@ -450,6 +421,8 @@ def limit_bounds_segment(u: np.ndarray, bounds: Bounds, c: float, *,
     ``limit_bounds``.
     """
     if edge_rows:
+        if left is not None or right is not None:
+            raise ValueError("edge_rows=True takes no fixed boundary values")
         return _limit(u, bounds, c, 0, "edge", means)
     if left is None or right is None:
         raise ValueError("need fixed boundary values or edge_rows=True")

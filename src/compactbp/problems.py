@@ -183,7 +183,7 @@ def _build(problem_id: str):
             exact=lambda x, t: np.exp(-d * t) * np.sin(x - c * t),
             default_T=1.0,
         )
-    if problem_id == "pme-1d" or problem_id.startswith("pme-1d-m"):
+    if problem_id in BUILTIN_IDS and problem_id.startswith("pme-1d"):
         m_exp = 5 if problem_id == "pme-1d" else int(problem_id.rsplit("m", 1)[1])
         return _pme_1d(m_exp)
     if problem_id == "inflow-burgers":
@@ -254,14 +254,14 @@ def _build(problem_id: str):
             exact=lambda x, y, t: np.exp(-2 * d * t) * np.sin(x + y - 2 * c * t),
             default_T=0.5,
         )
-    if problem_id == "2d-pme" or problem_id.startswith("2d-pme-m"):
+    if problem_id in BUILTIN_IDS and problem_id.startswith("2d-pme"):
         m_exp = 3 if problem_id == "2d-pme" else int(problem_id.rsplit("m", 1)[1])
         return _pme_2d(m_exp)
-    raise KeyError(f"unknown problem id {problem_id!r}")
+    raise ValueError(f"unknown problem {problem_id!r}")
 
 
 def builtin(problem_id: str):
-    """Return the fully populated problem for a registry id."""
+    """Return the problem for an id in ``BUILTIN_IDS``; others raise ``ValueError``."""
     return _build(problem_id)
 
 

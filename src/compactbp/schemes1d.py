@@ -271,7 +271,7 @@ class PeriodicScheme1D(Scheme):
         self.levels = self.families[DIFFUSION] + self.families[CONVECTION]
 
     def _coordinates(self, n):
-        return (periodic_grid(self.problem, n)[0],)
+        return (self.problem.x_lo + self.ctx.dx * np.arange(1, n + 1),)
 
     def means(self, u: np.ndarray) -> np.ndarray:
         return ops.apply_levels(self.levels, u)
@@ -297,9 +297,3 @@ class PeriodicScheme1D(Scheme):
 
     def recover(self, q: np.ndarray, t: float = 0.0) -> tuple[np.ndarray, LimiterReport]:
         return recover_point_values(q, self.levels, self.bounds, self.bp_limit)
-
-
-def periodic_grid(problem, n: int) -> tuple[np.ndarray, float]:
-    """Uniform periodic grid of n points: x_i = x_lo + i dx, i = 1..n."""
-    dx = problem.length / n
-    return problem.x_lo + dx * np.arange(1, n + 1), dx

@@ -2,10 +2,12 @@
 
 ``limit_bounds`` and ``limit_bounds_segment`` limit one line at a time,
 visiting the excursions one by one in increasing index (the helpers are
-kept unchanged from that implementation).  ``limit_lines`` is the per-line
-2D loop that ran once per grid line of a cascade level, merging the line
-reports with ``LimiterReport.merge``.  The tests compare the batched core
-against these bit for bit.
+kept unchanged from that implementation).  ``classify`` finds the sawtooth
+sets with that implementation's two run scans, cyclic and open, so the
+core's own classifier is checked against an independent one.
+``limit_lines`` is the per-line 2D loop that ran once per grid line of a
+cascade level, merging the line reports with ``LimiterReport.merge``.  The
+tests compare the batched core against these bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from compactbp.limiters import (_TINY, Bounds, LimiterReport, RedistributionError,
-                                WeakMonotonicityError, classify_sets)
+                                WeakMonotonicityError)
 from compactbp.operators import WeightOperator, apply_weighting
 
 
@@ -159,22 +161,22 @@ def limit_bounds(u: np.ndarray, bounds: Bounds, c: float) -> tuple[np.ndarray, L
     under = u < lo
     if not (over.any() or under.any()):
         return u.copy(), report
-    cls = classify_sets(u, bounds)
+    sets, whole_circle = classify(u, bounds)
     n = u.size
     in_sawtooth = np.zeros(n, dtype=bool)
-    for start, length in cls.sawtooth_sets:
+    for start, length in sets:
         in_sawtooth[(start + np.arange(length)) % n] = True
     v = u.copy()
     out = over | under
     sources = np.flatnonzero(out & ~in_sawtooth)
     _transfer_pass(u, v, sources[under[sources]], lo, hi, tol, report, lower=True)
     _transfer_pass(u, v, sources[over[sources]], lo, hi, tol, report, lower=False)
-    for start, length in cls.sawtooth_sets:
+    for start, length in sets:
         members = (start + np.arange(length)) % n
         _rebalance_set(u, v, members, lo, hi, tol)
-    report.sawtooth_count = len(cls.sawtooth_sets)
-    report.rebalance_used = bool(cls.sawtooth_sets)
-    report.whole_circle_fallback = cls.whole_circle
+    report.sawtooth_count = len(sets)
+    report.rebalance_used = bool(sets)
+    report.whole_circle_fallback = whole_circle
     _finalize(u, v, report, lo=lo, hi=hi, tol=tol)
     return v, report
 
@@ -221,16 +223,11 @@ def limit_bounds_segment(u: np.ndarray, bounds: Bounds, c: float, *,
     v = u.copy()
     if over.any() or under.any():
         out = over | under
-        runs = _runs_open(out)
         in_sawtooth = np.zeros(n, dtype=bool)
         sets = []
-        for start, length in runs:
-            idx = np.arange(start, start + length)
-            if over[idx].any() and under[idx].any():
-                first = max(start - 1, 0)
-                last = min(start + length, n - 1)
-                sets.append(np.arange(first, last + 1))
-                in_sawtooth[idx] = True
+        for start, length in classify(u, bounds, periodic=False)[0]:
+            sets.append(np.arange(start, start + length))
+            in_sawtooth[sets[-1]] = True
         sources = np.flatnonzero(out & ~in_sawtooth)
         _transfer_pass(u, v, sources[under[sources]], lo, hi, tol, report,
                        lower=True, left=lval, right=rval, periodic=periodic_ends)
@@ -242,6 +239,50 @@ def limit_bounds_segment(u: np.ndarray, bounds: Bounds, c: float, *,
         report.rebalance_used = bool(sets)
     _finalize(u, v, report, lo=lo, hi=hi, tol=tol)
     return v, report
+
+
+def classify(u, bounds, periodic=True):
+    """The sawtooth sets of one line as sorted ``(start, length)`` index
+    ranges (cyclic when ``periodic``), and whether the line is a circle
+    without an in-range point."""
+    lo, hi = bounds.span
+    n = u.size
+    over = u > hi
+    under = u < lo
+    out = over | under
+    if periodic and out.all():
+        return ((0, n),), True
+    sets = []
+    for start, length in (_runs_cyclic if periodic else _runs_open)(out):
+        idx = (start + np.arange(length)) % n
+        if over[idx].any() and under[idx].any():
+            if not periodic:
+                first = max(start - 1, 0)
+                last = min(start + length, n - 1)
+                sets.append((first, last - first + 1))
+            elif length == n - 1:
+                # single in-range point: both flanks coincide and the whole
+                # circle participates in the rebalance
+                sets.append(((start - 1) % n, n))
+            else:
+                sets.append(((start - 1) % n, length + 2))
+    return tuple(sorted(sets)), False
+
+
+def _runs_cyclic(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal cyclic runs of True in ``mask`` as (start, length) pairs."""
+    n = mask.size
+    if mask.all():
+        return [(0, n)]
+    if not mask.any():
+        return []
+    k = int(np.argmin(mask))  # index of some False entry
+    rolled = np.roll(mask, -k)
+    padded = np.concatenate(([False], rolled, [False]))
+    d = np.diff(padded.astype(np.int8))
+    starts = np.flatnonzero(d == 1)
+    ends = np.flatnonzero(d == -1)
+    return [(int((s + k) % n), int(e - s)) for s, e in zip(starts, ends)]
 
 
 def _runs_open(mask: np.ndarray) -> list[tuple[int, int]]:

@@ -51,6 +51,9 @@ class TestRunConfig:
             build_scheme(cfg, cfg.n)
         with pytest.raises(ValueError):
             RunConfig(problem="linadv-sin4", integrator="rk9")
+        for problem in ("nope", "pme-1d-m7", "pme-1d-mx"):
+            with pytest.raises(ValueError, match="unknown problem"):
+                RunConfig(problem=problem)
 
     @pytest.mark.parametrize("problem", ["linadv-sin4", "2d-linadv", "inflow-burgers",
                                          "dirichlet-convdiff"])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import limiter_oracle as oracle
 from compactbp.limiters import (Bounds, RedistributionError, WeakMonotonicityError,
-                                limit_bounds, limit_bounds_segment)
+                                classify_sets, limit_bounds, limit_bounds_segment)
 from compactbp.operators import WeightOperator, apply_weighting, solve_weighting
 from compactbp.problems import builtin
 from compactbp.schemes2d import PeriodicScheme2D, Problem2D, StepContext2D
@@ -432,6 +432,13 @@ class TestBadMeans:
         with pytest.raises(ValueError, match="non-finite end value"):
             limit_bounds_segment(line, UNIT, 4.0, left=bad, right=0.5, means=means)
 
+    def test_mixed_segment_modes(self):
+        # two-point end rows leave no place for fixed end values
+        line = np.full(5, 0.5)
+        for ends in (dict(left=0.2, right=0.3), dict(left=0.2), dict(right=0.3)):
+            with pytest.raises(ValueError, match="edge_rows=True takes no fixed"):
+                limit_bounds_segment(line, UNIT, 4.0, edge_rows=True, **ends)
+
 
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -578,3 +585,21 @@ def test_matches_oracle_with_signed_zeros(case):
         assert same_bits(v, want_v)
         assert rep.modified_count == want_rep.modified_count
         assert rep.sawtooth_count == want_rep.sawtooth_count
+
+
+@st.composite
+def lines_around_bounds(draw):
+    """A line of 1 to 24 values below, on, inside and above the bounds."""
+    bounds = draw(st.sampled_from(BOUNDS))
+    lo, hi = bounds.span
+    value = st.one_of(st.sampled_from([lo - 0.5, lo, hi, hi + 0.5]),
+                      st.floats(lo - 1.0, hi + 1.0))
+    return np.array(draw(st.lists(value, min_size=1, max_size=24))), bounds
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines_around_bounds(), st.booleans())
+def test_classify_sets_matches_oracle(case, periodic):
+    u, bounds = case
+    cls = classify_sets(u, bounds, periodic)
+    assert (cls.sawtooth_sets, cls.whole_circle) == oracle.classify(u, bounds, periodic)

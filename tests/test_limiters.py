@@ -133,6 +133,22 @@ class TestClassifySets:
         # the out-of-range run wraps {4, 0}; flanks are 3 and 1
         assert cls.sawtooth_sets == ((3, 4),)
 
+    @pytest.mark.parametrize("u, sets", [
+        ([1.2, -0.1, 0.5, 0.5, 0.5], ((0, 3),)),  # touches the left end
+        ([0.5, 0.5, 0.5, -0.1, 1.2], ((2, 3),)),  # touches the right end
+        ([1.2, -0.1, 1.2, -0.1], ((0, 4),)),  # touches both ends
+        ([1.2, -0.1, 0.5, -0.1, 1.2], ((0, 3), (2, 3))),  # one run at each end
+        ([0.5, 1.2, -0.1, 0.5, 0.5], ((0, 4),)),  # interior run
+        ([0.5, -0.1, 0.5, 0.5], ()),  # isolated excursion
+        ([1.2, 0.5, 0.5, 0.5, -0.1], ()),  # the ends do not meet
+    ], ids=["left", "right", "both", "each-end", "interior", "isolated", "no-wrap"])
+    def test_open_segment(self, u, sets):
+        # a run touching an end has only its inner flank, and no segment
+        # is a whole circle
+        cls = classify_sets(np.array(u), Bounds(0.0, 1.0), periodic=False)
+        assert cls.sawtooth_sets == sets
+        assert not cls.whole_circle
+
 
 class TestCascade:
     """Level-by-level recovery: solve, then limit at that level's c."""

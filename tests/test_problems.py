@@ -50,8 +50,10 @@ class TestRegistry:
             assert prob.bounds.lower < prob.bounds.upper
 
     def test_unknown_id(self):
-        with pytest.raises(KeyError):
-            builtin("no-such-problem")
+        # an exponent outside the registry, or none, names no problem either
+        for pid in ("no-such-problem", "pme-1d-m7", "pme-1d-m1", "pme-1d-mx", "2d-pme-m9"):
+            with pytest.raises(ValueError, match=f"unknown problem '{pid}'"):
+                builtin(pid)
 
     def test_initial_ranges_within_bounds(self):
         rng = np.random.default_rng(51)
