@@ -418,8 +418,16 @@ def limit_bounds_segment(u: np.ndarray, bounds: Bounds, c: float, *,
 
     ``means``, of ``u``'s shape, are the segment's means under the chosen
     end treatment when the caller already holds them, as in
-    ``limit_bounds``.
+    ``limit_bounds``.  A segment has at least one point, and at least two
+    with ``edge_rows`` (each end row reads its neighbour); a shorter one
+    raises ``ValueError``.
     """
+    u = np.asarray(u, dtype=float)
+    need = 2 if edge_rows else 1
+    if u.ndim == 0 or u.shape[0] < need:
+        got = "a scalar" if u.ndim == 0 else u.shape[0]
+        raise ValueError(f"a segment needs at least {need} point{'s' * (need > 1)}"
+                         f"{' with edge rows' if edge_rows else ''}, got {got}")
     if edge_rows:
         if left is not None or right is not None:
             raise ValueError("edge_rows=True takes no fixed boundary values")

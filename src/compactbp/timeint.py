@@ -10,6 +10,16 @@ coefficient.  :class:`SspIntegrator` runs any row: Shu-Osher stages for
 a one-step method and while a multistep history window fills, the
 multistep combination once it is full.
 
+The integrator keeps the means and slopes it combines in one array, a
+slot of two fields (means, slope) per history entry and per inner stage,
+written in place; every combination, stage or multistep, is one product
+of a coefficient row with a contiguous run of those slots.  The means of
+a recovered state are the combination it was recovered from whenever
+the limiter moved no point: recovery inverts the weighting, so weighting
+the result again would give them back up to round-off.  The scheme's
+``means(u)`` runs only for the start state and after a recovery that
+moved points.
+
 The limiter runs after every stage and once per multistep step;
 per-stage limiting in Runge-Kutta methods may reduce the observed
 convection order because inner stages are low-order approximations in
@@ -82,21 +92,15 @@ def step_count(T: float, dt: float) -> int:
     return max(1, math.ceil(T / dt * (1.0 - 1e-12)))
 
 
-def _combine(terms, entries):
-    """Sum ``c * entries[j][k]`` over the ``(c, j, k)`` terms, in order.
+def _combination(row: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """``sum(row[i] * x_i)`` over the rows ``x_i`` of ``slots``, in their shape.
 
-    Accumulates in place into a fresh array, with the same round-off as
-    ``0.0 + c_0 x_0 + c_1 x_1 + ...``: the final ``+ 0.0`` turns a sum
-    of ``-0.0`` terms into ``+0.0``, as the leading ``0.0`` does.
+    ``slots`` is a contiguous ``(row.size // 2, 2, ...)`` block of the
+    history array; the sum is one BLAS product of the row with its
+    ``(row.size, points)`` view, which copies nothing and leaves
+    ``slots`` unchanged.
     """
-    (c, j, k), *rest = terms
-    q = np.multiply(c, entries[j][k])
-    term = np.empty_like(q)
-    for c, j, k in rest:
-        np.multiply(c, entries[j][k], out=term)
-        q += term
-    q += 0.0
-    return q
+    return (row @ slots.reshape(row.size, -1)).reshape(slots.shape[2:])
 
 
 class SspIntegrator:
@@ -106,6 +110,12 @@ class SspIntegrator:
     with ``dt = span / steps``.  ``SspIntegrator(scheme, method, dt)`` has
     ``span = dt`` and ``steps = 1``; :meth:`spanning` builds one that
     covers a given time in a given number of steps.
+
+    The means and slopes live in ``_rows``, of shape ``(slots, 2) +``
+    the means' shape: the history ring (the entry of step ``k`` in slot
+    ``k % window``), then one slot per inner Runge-Kutta stage.  Stage
+    ``j`` of a stage step is slot ``window - 1 + j``, so stage 0, the
+    step's start, is the ring's last slot.
     """
 
     def __init__(self, scheme, method: str, dt: float):
@@ -118,25 +128,33 @@ class SspIntegrator:
         self.method = method
         self.dt = dt = float(dt)
         check_dt(dt, row.ssp * scheme.admissible_dt_fe(), method)
-        # (coefficient, entry, field) terms over (state, means, rhs, t)
-        # entries, with dt folded into the slope coefficients
-        self._stages = []  # (terms, stage time offset)
+        self._window = window = max(row.tableau[0]) if row.tableau is not None else 1
+        # rows interleave the coefficients of each slot's means and slope;
+        # stage k's row covers stages 0 to k - 1
+        self._stages = []
         times = [0.0]
         for stage in row.stages:
-            terms, parts = [], []
+            coefs = [0.0] * (2 * len(times))
+            tk = 0.0
             for j, a, b in stage:
-                terms += (a, j, 1), (dt * b, j, 2)
-                parts.append(a * times[j] + b)
-            times.append(sum(parts))
-            self._stages.append((terms, times[-1] * dt))
-        self._tableau, self._window = None, 1
+                coefs[2 * j] += a
+                coefs[2 * j + 1] += dt * b
+                tk += a * times[j] + b
+            times.append(tk)
+            self._stages.append((np.array(coefs), tk * dt))
+        # row k of _ms_rows is the multistep row of the step whose entry
+        # lands in slot k: slot s then holds the entry (k - s - 1) % window + 1
+        # steps back
+        self._ms_rows = None
         if row.tableau is not None:
             alpha, beta = row.tableau
-            self._tableau = [(a, -lag, 1) for lag, a in alpha.items()]
-            self._tableau += [(dt * b, -lag, 2) for lag, b in beta.items()]
-            self._window = max(alpha)
+            by_lag = [(alpha.get(lag, 0.0), dt * beta.get(lag, 0.0))
+                      for lag in range(1, window + 1)]
+            self._ms_rows = np.array([
+                [x for s in range(window) for x in by_lag[(k - s - 1) % window]]
+                for k in range(window)])
         self._span = (dt, 1)
-        self._hist: list[tuple] = []  # (state, means, rhs, t), newest last
+        self._rows = None
         self.report = LimiterReport()
 
     @classmethod
@@ -146,55 +164,70 @@ class SspIntegrator:
         integ._span = (T, steps)
         return integ
 
-    def _entry(self, u, t):
-        m = self.scheme.means(u)
-        return (u, m, self.scheme.rhs_means(u, t, means=m), t)
+    def _entry(self, slot, u, t, means):
+        """Write ``means`` and their slope at state ``u`` into ``slot``."""
+        m = self._rows[slot, 0, ...]
+        m[...] = means
+        self._rows[slot, 1, ...] = self.scheme.rhs_means(u, t, means=m)
 
-    def _recover(self, q, t):
+    def _recover(self, row, first, t):
+        """Recover the state from the combination of the slots from ``first``
+        on; return it and its means, which are the combination itself
+        unless the limiter moved a point."""
+        q = _combination(row, self._rows[first:first + row.size // 2])
         u, rep = self.scheme.recover(q, t)
         self.report = self.report.merge(rep)
-        return u
+        return u, self.scheme.means(u) if rep.modified_count else q
 
     def start(self, u0, t0=0.0):
+        u0 = np.asarray(u0, dtype=float)
+        m0 = self.scheme.means(u0)
+        slots = self._window + len(self._stages) - 1
+        self._rows = np.zeros((slots, 2) + np.shape(m0))
         self._t0 = t0
         self._k = 0
-        self._hist = [self._entry(np.asarray(u0, dtype=float), t0)]
+        self._entry(0, u0, t0, m0)
+        self._u, self._t = u0, t0
         return self
 
     def _stage_step(self):
-        entries = [self._hist[-1]]
-        t = entries[0][3]
-        last = len(self._stages) - 1
-        for k, (terms, offset) in enumerate(self._stages):
-            t_stage = t + offset
-            u = self._recover(_combine(terms, entries), t_stage)
-            if k < last:
-                entries.append(self._entry(u, t_stage))
-        return u
+        start, base = self._k % self._window, self._window - 1
+        if start != base:
+            # a multistep priming step: the window is not full, so its last
+            # slot is free until this step's entry
+            self._rows[base] = self._rows[start]
+        t = self._t
+        last = len(self._stages)
+        for j, (row, offset) in enumerate(self._stages, start=1):
+            u, m = self._recover(row, base, t + offset)
+            if j < last:
+                self._entry(base + j, u, t + offset, m)
+        return u, m
 
     def advance(self):
         """Advance one step and return the new state."""
-        if not self._hist:
+        if self._rows is None:
             raise RuntimeError("integrator not started")
-        if self._tableau is None or len(self._hist) < self._window:
-            u_new = self._stage_step()
+        k = self._k + 1
+        slot = k % self._window
+        if self._ms_rows is None or k < self._window:
+            u, m = self._stage_step()
         else:
-            u_new = self._recover(_combine(self._tableau, self._hist),
-                                  self._hist[-1][3] + self.dt)
-        self._k += 1
+            u, m = self._recover(self._ms_rows[slot], 0, self._t + self.dt)
+        self._k = k
         span, steps = self._span
-        self._hist.append(self._entry(u_new, span * (self._k / steps) + self._t0))
-        if len(self._hist) > self._window:
-            self._hist.pop(0)
-        return u_new
+        t = span * (k / steps) + self._t0
+        self._entry(slot, u, t, m)
+        self._u, self._t = u, t
+        return u
 
     @property
     def state(self):
-        return self._hist[-1][0]
+        return self._u
 
     @property
     def time(self) -> float:
-        return self._hist[-1][3]
+        return self._t
 
 
 def integrate_to(scheme, T: float, method: str, *, dt: float):

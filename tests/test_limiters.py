@@ -329,6 +329,36 @@ class TestSegmentVariants:
             assert (v.sum() - u.sum()) == pytest.approx(rep.boundary_exchange,
                                                         abs=conservation_budget(n, bounds))
 
+    @pytest.mark.parametrize("n, ends", [
+        (0, dict(edge_rows=True)), (1, dict(edge_rows=True)),
+        (0, dict(left=0.5, right=0.5))])
+    def test_too_short_segment_is_refused(self, n, ends):
+        with pytest.raises(ValueError, match="a segment needs at least"):
+            limit_bounds_segment(np.full(n, 0.5), Bounds(0.0, 1.0), 4.0, **ends)
+
+    def test_one_point_between_fixed_ends(self):
+        # the excursion goes to the two end values: both shares leave
+        bounds = Bounds(0.0, 1.0)
+        u = np.array([1.2])  # its mean (0.5 + 4.8 + 0.5)/6 is in range
+        v, rep = limit_bounds_segment(u, bounds, 4.0, left=0.5, right=0.5)
+        assert v.tolist() == [1.0]
+        assert rep.boundary_exchange == pytest.approx(-0.2, abs=1e-15)
+        v, rep = limit_bounds_segment(np.array([0.3]), bounds, 4.0, left=0.5, right=0.5)
+        assert v.tolist() == [0.3] and rep.modified_count == 0
+
+    def test_two_points_with_edge_rows(self):
+        # the end rows (c u_0 + u_1)/(c+1) and (u_0 + c u_1)/(c+1) are the
+        # whole weighting; the overshoot moves to the other point
+        bounds = Bounds(0.0, 1.0)
+        u = np.array([1.1, 0.5])
+        v, rep = limit_bounds_segment(u, bounds, 4.0, edge_rows=True)
+        assert v.tolist() == pytest.approx([1.0, 0.6], abs=1e-15)
+        assert v.max() <= 1.0
+        assert v.sum() == pytest.approx(u.sum(), abs=1e-15)
+        assert rep.boundary_exchange == 0.0
+        v, rep = limit_bounds_segment(np.array([0.2, 0.7]), bounds, 4.0, edge_rows=True)
+        assert v.tolist() == [0.2, 0.7] and rep.modified_count == 0
+
     def test_segment_sawtooth(self):
         bounds = Bounds(0.0, 1.0)
         u = np.array([0.5, 1.05, -0.02, 0.5, 0.5, 0.5])

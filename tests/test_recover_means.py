@@ -5,6 +5,11 @@ set of weighted means of ``x`` that weak monotonicity keeps inside the
 bounds, so ``recover`` hands it to the limiter instead of re-weighting
 ``x``.  A mean pushed out of the bounds must still fail, naming its index,
 and a multistep step must not weight anything twice.
+
+The integrator relies on the same fact one level up: when a recovery
+moves no point, ``means(recover(q))`` is ``q`` up to round-off, so it
+keeps ``q`` as the new state's means and calls ``means`` only after a
+recovery that moved points.
 """
 
 import sys
@@ -116,8 +121,9 @@ def _count_calls(monkeypatch, names):
 
 
 @pytest.mark.parametrize("kwargs, applies, solves", [
-    # means(u): one weighting per chain level (2), none in the limiter
-    (dict(problem="linadv-sin4-half", order=8), 2, 2),
+    # the limiter moves no point in these steps, so the combination is
+    # handed on as the means: no weighting at all
+    (dict(problem="linadv-sin4-half", order=8), 0, 2),
     # means(u), which the TVB flux reuses: one weighting
     (dict(problem="linadv-step", order=4, tvb=5.0), 1, 1),
 ])
@@ -133,3 +139,86 @@ def test_weightings_per_multistep_step(monkeypatch, kwargs, applies, solves):
     for _ in range(steps):
         integ.advance()
     assert counts == {"apply_weighting": applies * steps, "solve_weighting": solves * steps}
+
+
+# ---------------------------------------------------------------------------
+# Means handed on by the integrator
+# ---------------------------------------------------------------------------
+
+#: every scheme class: periodic 1D at orders 4, 6 and 8 (with and without
+#: TVB, convection and convection-diffusion), 2D, inflow-outflow, Dirichlet
+HANDON_CASES = [
+    dict(problem="linadv-sin4", order=4),
+    dict(problem="linadv-step", order=4, tvb=5.0),
+    dict(problem="linadv-sin4", order=6),
+    dict(problem="linadv-sin4-half", order=8),
+    dict(problem="convdiff-lin", order=8),
+    dict(problem="2d-linadv"),
+    dict(problem="2d-pme-m3"),
+    dict(problem="2d-convdiff"),
+    dict(problem="inflow-burgers"),
+    dict(problem="dirichlet-convdiff"),
+]
+
+#: ``|means(recover(q)) - q| <= HANDON_ULPS * eps * max|q|``: each level's
+#: solve and weighting round once per point; the worst seen over 30
+#: random states per case and N in (12, 17, 40) was 5.5 (2D)
+HANDON_ULPS = 16
+
+
+@pytest.mark.parametrize("kwargs", HANDON_CASES, ids=lambda kw: "-".join(map(str, kw.values())))
+@pytest.mark.parametrize("n", [12, 17, 40])
+def test_unmodified_recovery_returns_its_means(kwargs, n):
+    # an Euler step from random admissible states, recovered without
+    # limiting (so unmodified, whatever the data)
+    config = RunConfig(n=n, T=0.5, bp_limiter=False, **kwargs)
+    _, scheme, dt = build_scheme(config, n)
+    u0, t = scheme.initial_state()
+    lo, hi = scheme.bounds.span
+    rng = np.random.default_rng(n)
+    eps = np.finfo(float).eps
+    for u in [u0] + [lo + (hi - lo) * rng.random(u0.shape) for _ in range(5)]:
+        m = scheme.means(u)
+        q = m + dt * scheme.rhs_means(u, t, means=m)
+        v, report = scheme.recover(q, t + dt)
+        assert report.modified_count == 0
+        assert np.abs(scheme.means(v) - q).max() <= HANDON_ULPS * eps * np.abs(q).max()
+
+
+def _spy_means(scheme):
+    """Count ``scheme.means`` calls (on the instance only)."""
+    calls = []
+    means = scheme.means
+    scheme.means = lambda u: calls.append(1) or means(u)
+    return calls
+
+
+@pytest.mark.parametrize("kwargs, moving_steps", [
+    # the limiter is (nearly) idle: (almost) no weighting once the window
+    # is full; at order 8 it moves a point at round-off in 1 of the 20
+    (dict(problem="linadv-sin4-half", order=8), range(0, 3)),
+    (dict(problem="dirichlet-convdiff"), range(0, 1)),
+    # the limiter moves points every step: one weighting per step
+    (dict(problem="linadv-step", order=4, tvb=5.0), range(20, 21)),
+])
+def test_means_calls_per_multistep_step(kwargs, moving_steps):
+    # a multistep step weights its new state only when its recovery moved
+    # points, and then the stored means are exactly means(u)
+    config = RunConfig(n=40, T=0.5, bp_limiter=True, integrator="ms4", **kwargs)
+    _, scheme, dt = build_scheme(config, config.n)
+    integ = SspIntegrator(scheme, "ms4", dt).start(scheme.initial_state()[0])
+    window = max(METHODS["ms4"].tableau[0])
+    for _ in range(window - 1):
+        integ.advance()
+    calls = _spy_means(scheme)
+    moving = 0
+    for k in range(window, window + 20):
+        calls.clear()
+        before = integ.report.modified_count
+        integ.advance()
+        moved = integ.report.modified_count > before
+        moving += moved
+        assert len(calls) == moved
+        if moved:
+            assert np.array_equal(integ._rows[k % window, 0], scheme.means(integ.state))
+    assert moving in moving_steps

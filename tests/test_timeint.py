@@ -1,6 +1,7 @@
 """Time integrator order conditions, SSP coefficients and driver behavior."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from compactbp.limiters import LimiterReport
 from compactbp.schemes1d import CflError, PeriodicScheme1D, StepContext
 from compactbp.problems import builtin
-from compactbp.timeint import METHODS, SspIntegrator, _combine, integrate_to
+from compactbp.timeint import METHODS, SspIntegrator, _combination, integrate_to
 
 #: the order of accuracy each METHODS row must reach
 ORDERS = {"fe": 1, "rk4": 4, "ms4": 4}
@@ -234,18 +235,28 @@ class TestDriver:
             SspIntegrator(scheme, "rk9", dt)
 
     def test_ms_priming_window(self):
-        # a one-step method keeps only the newest (u, means, rhs) entry;
-        # ms4 keeps its six-step window
+        # the history array holds one slot per history entry (ms4: its
+        # six-step window) and one per inner Runge-Kutta stage; ms4 takes
+        # Runge-Kutta steps until the window is full, then one recovery
+        # per step
         scheme, dt = self._scheme()
         u0, _ = scheme.initial_state()
         windows = {"fe": 1, "rk4": 1, "ms4": 6}
         assert windows.keys() == METHODS.keys()
+        calls = []
+        recover = scheme.recover
+        scheme.recover = lambda q, t: calls.append(t) or recover(q, t)
         for method, window in windows.items():
+            stages = len(METHODS[method].stages)
             integ = SspIntegrator(scheme, method, dt).start(u0)
+            assert integ._rows.shape == (window + stages - 1, 2) + u0.shape, method
+            recovers = []
             for _ in range(8):
+                calls.clear()
                 integ.advance()
-                assert len(integ._hist) <= window
-            assert len(integ._hist) == window, method
+                recovers.append(len(calls))
+            primed = window - 1 if METHODS[method].tableau else 8
+            assert recovers == [stages] * primed + [1] * (8 - primed), method
 
     def test_stage_limited_states_stay_bounded(self):
         scheme, dt = self._scheme(n=64)
@@ -259,39 +270,47 @@ class TestDriver:
             assert u.max() <= bounds.upper + 1e-13
 
 
-def loop_combine(terms, entries):
-    """The out-of-place sum ``0.0 + c_0 x_0 + c_1 x_1 + ...`` (reference)."""
-    q = 0.0
-    for c, j, k in terms:
-        q = q + c * entries[j][k]
-    return q
+class TestCombination:
+    """One product of a coefficient row with a block of history slots."""
 
+    @staticmethod
+    def _slots(rng, rows, shape):
+        x = rng.normal(size=(rows // 2, 2) + shape)
+        flat = x.reshape(-1)
+        flat[::3] = 0.0
+        flat[1::4] = -0.0
+        return x
 
-class TestCombine:
-    def test_matches_loop_bit_for_bit(self):
+    def test_matches_exact_sum(self):
+        # against the exact rational sum: any summation order, with or
+        # without fused multiply-adds, is within rows * eps * sum |c x|
         rng = np.random.default_rng(31)
-        for shape in ((40,), (8, 6), (6, 8)):
-            for nterms in (1, 2, 7):
-                coefs = rng.uniform(-1, 1, nterms)
-                entries = []
-                for c in coefs:
-                    x = rng.normal(size=shape)
-                    flat = x.reshape(-1)
-                    flat[::3] = 0.0
-                    flat[1::4] = -0.0
-                    flat[:4] = -0.0 * np.sign(c)  # every product is -0.0 there
-                    entries.append((None, x, x))
-                terms = [(c, j, 1) for j, c in enumerate(coefs)]
-                # a term and its negation cancel to an exact zero
-                terms += [(coefs[0], 0, 2), (-coefs[0], 0, 1)]
-                for ts in (terms[:1], terms):
-                    got, want = _combine(ts, entries), loop_combine(ts, entries)
-                    assert got.shape == want.shape
-                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-                    assert not np.signbit(got.reshape(-1)[:4]).any()
+        eps = np.finfo(float).eps
+        for shape in ((40,), (8, 6), (6, 8), ()):
+            for rows in (2, 4, 12):
+                row = rng.uniform(-1, 1, rows)
+                row[rng.random(rows) < 0.3] = 0.0
+                slots = self._slots(rng, rows, shape)
+                got = _combination(row, slots)
+                assert got.shape == shape
+                xs = slots.reshape(rows, -1)
+                for i, value in enumerate(got.reshape(-1)):
+                    exact = sum(Fraction(c) * Fraction(x) for c, x in zip(row, xs[:, i]))
+                    scale = sum(abs(c * x) for c, x in zip(row, xs[:, i]))
+                    assert abs(Fraction(value) - exact) <= rows * eps * scale
 
-    def test_leaves_entries_unchanged(self):
-        x, y = np.ones(5), np.full(5, 2.0)
-        entries = [(x, x, y)]
-        _combine([(0.5, 0, 1), (0.25, 0, 2)], entries)
-        assert (x == 1.0).all() and (y == 2.0).all()
+    def test_zero_terms_give_positive_zero(self):
+        # every product is -0.0, and the sum +0.0, as 0.0 + c_0 x_0 + ... is
+        for sign in (1.0, -1.0):
+            row = sign * np.array([0.5, 2.0, 0.0, 3.0])
+            slots = np.full((2, 2, 7), -0.0 * sign)
+            assert np.signbit(row[:, None] * slots.reshape(4, -1)).all()
+            got = _combination(row, slots)
+            assert (got == 0.0).all() and not np.signbit(got).any()
+
+    def test_leaves_slots_unchanged(self):
+        rng = np.random.default_rng(4)
+        slots = rng.normal(size=(3, 2, 5))
+        before = slots.copy()
+        _combination(rng.normal(size=6), slots)
+        assert np.array_equal(slots, before)
