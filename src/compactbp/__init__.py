@@ -20,7 +20,7 @@ from .schemes2d import PeriodicScheme2D, Problem2D, StepContext2D
 from .boundary import (DirichletConvDiffScheme, InflowOutflowScheme,
                        outflow_extrapolate)
 from .problems import BUILTIN_IDS, barenblatt, builtin
-from .timeint import METHODS, SspIntegrator, integrate_to
+from .timeint import METHODS, SspIntegrator, schedule_run
 from .harness import (ConfigError, ErrorRow, RunConfig, error_norms,
                       run_convergence_study, run_single)
 

@@ -28,7 +28,11 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def parse_config_file(path: str) -> dict:
-    """Read ``key = value`` lines; '#' starts a comment."""
+    """Read ``key = value`` lines; '#' starts a comment.
+
+    Keys are spelled as the flags are (``bp-limiter``, ``N``) and returned
+    as ``RunConfig`` field names (``bp_limiter``, ``n``).
+    """
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -38,14 +42,15 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
+            key = key.replace("-", "_")
+            values["n" if key == "N" else key] = value
     return values
 
 
 def _coerce(key: str, value: str):
-    if key in ("order", "N", "n"):
+    if key in ("order", "n"):
         return int(value)
-    if key in ("T", "tvb", "alpha1", "alpha2", "dt_cap"):
+    if key in ("T", "tvb", "alpha1", "alpha2"):
         return float(value)
     if key == "refine":
         return tuple(int(tok) for tok in value.split(","))
@@ -78,7 +83,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--dt-scale", choices=("cfl", "dx2"), dest="dt_scale",
                         help="dx2 uses the quadratic convection step for "
                              "temporal-order verification")
-    parser.add_argument("--dt-cap", type=float, dest="dt_cap")
     parser.add_argument("--out", help="output directory for CSV files")
 
 
@@ -86,18 +90,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     merged: dict = {}
     if args.config:
         for key, raw in parse_config_file(args.config).items():
-            if key == "N":
-                key = "n"
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown key {key!r}")
             merged[key] = _coerce(key, raw)
-    for key, value in vars(args).items():
-        if key in ("config", "command"):
-            continue
-        if key == "N":
-            key = "n"
-        if value is not None:
-            merged[key] = value
+    merged.update((key, value) for key, value in vars(args).items()
+                  if key in _CONFIG_KEYS and value is not None)
     if merged.get("problem") is None:
         raise SystemExit("error: --problem is required (flag or config file)")
     return RunConfig(**merged)
@@ -111,7 +108,7 @@ def main(argv=None) -> int:
 
     p_solve = sub.add_parser("solve", help="single run with snapshot output")
     _add_common(p_solve)
-    p_solve.add_argument("--N", type=int, help="grid points (interior points "
+    p_solve.add_argument("--N", type=int, dest="n", help="grid points (interior points "
                          "for non-periodic problems; per side in 2D)")
 
     p_study = sub.add_parser("study", help="convergence study over a refinement list")

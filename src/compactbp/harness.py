@@ -1,9 +1,8 @@
 """Experiment engine: single runs, convergence studies, CSV emission.
 
-Time steps follow the weak-monotonicity constants scaled by the method's
-schedule factor in ``timeint.METHODS``.  The target step is then shrunk
-to the nearest divisor of the final time, so runs are reproducible and
-hit T exactly.
+Every run's integrator, and with it its time step and step count, comes
+from ``timeint.schedule_run``; the harness passes it only the dx^2
+forward-Euler step of ``dt_scale="dx2"`` runs.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from .limiters import LimiterReport
 from .problems import builtin
 from .schemes1d import PeriodicScheme1D, StepContext, max_stable_dt
 from .schemes2d import PeriodicScheme2D, Problem2D, StepContext2D
-from .timeint import METHODS, integrate_to, step_count
+from .timeint import METHODS, schedule_run
 
 
 class ConfigError(ValueError):
@@ -43,7 +42,6 @@ class RunConfig:
     tvb: float | None = None
     refine: tuple[int, ...] | None = None
     dt_scale: str = "cfl"
-    dt_cap: float | None = None
     out: str | None = None
 
     def __post_init__(self):
@@ -67,8 +65,6 @@ class RunConfig:
         if self.refine is not None:
             if list(self.refine) != sorted(set(self.refine)):
                 raise ValueError("refinement list must be strictly increasing")
-        if self.dt_cap is not None and not self.dt_cap > 0:
-            raise ValueError(f"dt_cap must be positive, got {self.dt_cap}")
         prob = builtin(self.problem)
         periodic_1d = not isinstance(prob, Problem2D) and prob.boundary == "periodic"
         if self.dt_scale == "dx2" and not (periodic_1d and prob.has_convection):
@@ -114,32 +110,23 @@ def observed_order(err_coarse, err_fine, n_coarse, n_fine):
 
 
 def build_scheme(config: RunConfig, n: int):
-    """Build problem, scheme and time step for one grid level.
+    """Build problem, scheme and the unstarted integrator of one grid level.
 
-    The step is the scheme's admissible forward-Euler step, capped by
-    ``dt_cap``, times the integrator's schedule factor, shrunk to the
-    nearest divisor of the final time.  Invalid input raises
-    :class:`ConfigError`.
+    Invalid input raises :class:`ConfigError`.
     """
     try:
         problem = builtin(config.problem)
         scheme = _scheme(problem, config, n)
-        dt_fe = scheme.admissible_dt_fe()
+        dt_fe = None
         if config.dt_scale == "dx2":
             # temporal-order verification: the convection rate scales with 1/dx^2
             _, diff_rate = scheme.cfl_rates()
             dt_fe = max_stable_dt((problem.max_fprime / scheme.ctx.dx ** 2, diff_rate),
                                   scheme.cfl)
-        if config.dt_cap is not None:
-            dt_fe = min(dt_fe, config.dt_cap)
-        if not math.isfinite(dt_fe):
-            raise ValueError(f"{problem.name} has no CFL-limited time step; set dt_cap")
-        target = METHODS[config.integrator].schedule * dt_fe
-        T = _final_time(config, problem)
-        dt = T / step_count(T, target)
+        integ = schedule_run(scheme, config.integrator, _final_time(config, problem), dt_fe)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return problem, scheme, dt
+    return problem, scheme, integ
 
 
 def _scheme(problem, config: RunConfig, n: int):
@@ -172,28 +159,30 @@ def _cell_volume(problem, scheme):
 
 def run_level(config: RunConfig, n: int):
     """Solve one grid level; returns a result dict."""
-    problem, scheme, dt = build_scheme(config, n)
-    T = _final_time(config, problem)
+    problem, scheme, integ = build_scheme(config, n)
     t_start = time.perf_counter()
-    u0, _ = scheme.initial_state()
-    state, log, report = integrate_to(scheme, T, config.integrator, dt=dt)
+    u0, t0 = scheme.initial_state()
+    integ.start(u0, t0)
+    for _ in range(integ.steps):
+        integ.advance()
+    state = integ.state
     wall = time.perf_counter() - t_start
     vol = _cell_volume(problem, scheme)
     conservation = abs(float(state.sum()) - float(u0.sum())) * vol
-    exact = scheme.exact_state(T)
+    exact = scheme.exact_state(integ.time)
     result = {
         "problem": problem,
         "scheme": scheme,
         "n": n,
-        "dt": dt,
-        "steps": len(log),
+        "dt": integ.dt,
+        "steps": integ.steps,
         "state": state,
         "exact": exact,
         "min_u": float(state.min()),
         "max_u": float(state.max()),
         "conservation": conservation,
         "walltime": wall,
-        "report": report,
+        "report": integ.report,
     }
     if exact is not None:
         dy = scheme.ctx.dy if isinstance(problem, Problem2D) else None

@@ -135,7 +135,8 @@ def _pme_2d(m_exp: int) -> Problem2D:
     )
 
 
-def _build(problem_id: str):
+def builtin(problem_id: str):
+    """Return the problem for an id in ``BUILTIN_IDS``; others raise ``ValueError``."""
     if problem_id == "linadv-sin4":
         return Problem1D(
             name=problem_id, x_lo=0.0, x_hi=TWO_PI,
@@ -258,11 +259,6 @@ def _build(problem_id: str):
         m_exp = 3 if problem_id == "2d-pme" else int(problem_id.rsplit("m", 1)[1])
         return _pme_2d(m_exp)
     raise ValueError(f"unknown problem {problem_id!r}")
-
-
-def builtin(problem_id: str):
-    """Return the problem for an id in ``BUILTIN_IDS``; others raise ``ValueError``."""
-    return _build(problem_id)
 
 
 BUILTIN_IDS = (

@@ -10,6 +10,12 @@ coefficient.  :class:`SspIntegrator` runs any row: Shu-Osher stages for
 a one-step method and while a multistep history window fills, the
 multistep combination once it is full.
 
+This module owns the time step.  :func:`schedule_run` builds the
+integrator of a run to ``T``: the row's ``schedule`` share of the
+admissible forward-Euler step, shrunk to the nearest divisor of ``T`` so
+the multistep history keeps a constant step and the run ends at ``T``
+exactly.
+
 The integrator keeps the means and slopes it combines in one array, a
 slot of two fields (means, slope) per history entry and per inner stage,
 written in place; every combination, stage or multistep, is one product
@@ -87,9 +93,10 @@ METHODS = {
 }
 
 
-def step_count(T: float, dt: float) -> int:
-    """Steps of at most ``dt`` (up to round-off) that cover ``T`` exactly."""
-    return max(1, math.ceil(T / dt * (1.0 - 1e-12)))
+def _method(name: str) -> SspMethod:
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r}")
+    return METHODS[name]
 
 
 def _combination(row: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -106,10 +113,11 @@ def _combination(row: np.ndarray, slots: np.ndarray) -> np.ndarray:
 class SspIntegrator:
     """Stateful driver: owns the time step, clock and history of one solve.
 
-    The clock is exact: step ``k`` ends at ``t0 + span * (k / steps)``
-    with ``dt = span / steps``.  ``SspIntegrator(scheme, method, dt)`` has
-    ``span = dt`` and ``steps = 1``; :meth:`spanning` builds one that
-    covers a given time in a given number of steps.
+    ``SspIntegrator(scheme, method, span, steps=1)`` covers ``span`` in
+    ``steps`` steps of ``dt = span / steps``, so
+    ``SspIntegrator(scheme, method, dt)`` steps by ``dt``.  The clock is
+    exact: step ``k`` ends at ``t0 + span * (k / steps)``, and step
+    ``steps`` at ``t0 + span``.
 
     The means and slopes live in ``_rows``, of shape ``(slots, 2) +``
     the means' shape: the history ring (the entry of step ``k`` in slot
@@ -118,15 +126,14 @@ class SspIntegrator:
     step's start, is the ring's last slot.
     """
 
-    def __init__(self, scheme, method: str, dt: float):
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
+    def __init__(self, scheme, method: str, span: float, steps: int = 1):
+        row = _method(method)
+        dt = float(span) / steps
         if not math.isfinite(dt) or dt <= 0:
             raise ValueError(f"dt must be positive and finite, got {dt}")
-        row = METHODS[method]
         self.scheme = scheme
         self.method = method
-        self.dt = dt = float(dt)
+        self.span, self.steps, self.dt = float(span), steps, dt
         check_dt(dt, row.ssp * scheme.admissible_dt_fe(), method)
         self._window = window = max(row.tableau[0]) if row.tableau is not None else 1
         # rows interleave the coefficients of each slot's means and slope;
@@ -153,16 +160,8 @@ class SspIntegrator:
             self._ms_rows = np.array([
                 [x for s in range(window) for x in by_lag[(k - s - 1) % window]]
                 for k in range(window)])
-        self._span = (dt, 1)
         self._rows = None
         self.report = LimiterReport()
-
-    @classmethod
-    def spanning(cls, scheme, method: str, T: float, steps: int):
-        """An integrator whose ``steps``-th step ends at ``t0 + T`` exactly."""
-        integ = cls(scheme, method, T / steps)
-        integ._span = (T, steps)
-        return integ
 
     def _entry(self, slot, u, t, means):
         """Write ``means`` and their slope at state ``u`` into ``slot``."""
@@ -215,8 +214,7 @@ class SspIntegrator:
         else:
             u, m = self._recover(self._ms_rows[slot], 0, self._t + self.dt)
         self._k = k
-        span, steps = self._span
-        t = span * (k / steps) + self._t0
+        t = self.span * (k / self.steps) + self._t0
         self._entry(slot, u, t, m)
         self._u, self._t = u, t
         return u
@@ -230,23 +228,17 @@ class SspIntegrator:
         return self._t
 
 
-def integrate_to(scheme, T: float, method: str, *, dt: float):
-    """Integrate from the scheme problem's initial data to time T.
+def schedule_run(scheme, method: str, T: float, dt_fe: float | None = None):
+    """The unstarted integrator of a run of ``T`` with ``method``.
 
-    The target step ``dt`` is reduced to the nearest divisor of T so the
-    multistep history keeps a constant step and the final time is hit
-    exactly.  Returns ``(state, step_log, report)`` where ``step_log``
-    lists the step times.
+    Its step is the largest that divides ``T`` and is at most the
+    method's ``schedule`` share of ``dt_fe`` (up to round-off), which
+    defaults to the scheme's admissible forward-Euler step.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if not math.isfinite(dt) or dt <= 0:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    nsteps = step_count(T, dt)
-    u0, t0 = scheme.initial_state()
-    integ = SspIntegrator.spanning(scheme, method, T, nsteps).start(u0, t0)
-    log = []
-    for _ in range(nsteps):
-        integ.advance()
-        log.append(integ.time)
-    return integ.state, log, integ.report
+    row = _method(method)
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"T must be positive and finite, got T = {T}")
+    if dt_fe is None:
+        dt_fe = scheme.admissible_dt_fe()
+    steps = max(1, math.ceil(T / (row.schedule * dt_fe) * (1.0 - 1e-12)))
+    return SspIntegrator(scheme, method, T, steps)

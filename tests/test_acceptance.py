@@ -17,7 +17,7 @@ from compactbp.operators import (WeightOperator, apply_weighting,
                                  first_derivative_coefficients, recovery_chain,
                                  second_derivative_coefficients, solve_weighting)
 from compactbp.schemes1d import PeriodicScheme1D, StepContext
-from compactbp.timeint import METHODS, SspIntegrator
+from compactbp.timeint import METHODS
 
 _conservation_log: list[tuple[str, int, float, float, float]] = []
 
@@ -105,12 +105,11 @@ class TestCriterion5:
         t0 = time.perf_counter()
         cfg = RunConfig(problem="linadv-step", order=4, integrator="ms4",
                         T=10.0, n=100, bp_limiter=True, tvb=5.0)
-        problem, scheme, dt = build_scheme(cfg, 100)
-        nsteps = round(10.0 / dt)
-        integ = SspIntegrator(scheme, "ms4", dt).start(scheme.initial_state()[0])
+        problem, scheme, integ = build_scheme(cfg, 100)
+        integ.start(*scheme.initial_state())
         u0 = integ.state.copy()
         lo = hi = 0.0
-        for _ in range(nsteps):
+        for _ in range(integ.steps):
             u = integ.advance()
             lo = min(lo, u.min())
             hi = max(hi, u.max())

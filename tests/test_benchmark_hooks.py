@@ -56,3 +56,29 @@ def test_only_2d_contexts_have_dy(problem):
     _, scheme, _ = harness.build_scheme(config, config.n)
     is_2d = isinstance(scheme, compactbp.PeriodicScheme2D)
     assert hasattr(scheme.ctx, "dy") == is_2d
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_run_single_steps_and_starts_once(monkeypatch, tmp_path, name):
+    # the worker's setup_s runs from the start of run_single to the first
+    # advance and its step_us has one entry per advance, so a solve must
+    # build its start state once and advance exactly result["steps"] times
+    wl = workloads.WORKLOADS[name]
+    n = workloads.grid_size(wl, "tiny", 0)
+    config = harness.RunConfig(**workloads.run_config_kwargs(
+        wl, n, workloads.final_time(wl, "tiny", n), str(tmp_path)))
+    calls = {"advance": 0, "initial_state": 0}
+
+    def counted(owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(compactbp.SspIntegrator, "advance")
+    counted(compactbp.schemes1d.Scheme, "initial_state")
+    result, _ = harness.run_single(config)
+    assert calls == {"advance": result["steps"], "initial_state": 1}

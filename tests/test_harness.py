@@ -55,13 +55,6 @@ class TestRunConfig:
             with pytest.raises(ValueError, match="unknown problem"):
                 RunConfig(problem=problem)
 
-    @pytest.mark.parametrize("problem", ["linadv-sin4", "2d-linadv", "inflow-burgers",
-                                         "dirichlet-convdiff"])
-    def test_dt_cap_applies_on_every_problem(self, problem):
-        cfg = RunConfig(problem=problem, n=40, T=0.01, integrator="fe", dt_cap=1e-5)
-        _, _, dt = build_scheme(cfg, cfg.n)
-        assert dt <= 1e-5
-
     @pytest.mark.parametrize("problem", ["2d-linadv", "dirichlet-convdiff",
                                          "inflow-burgers", "pme-1d"])
     def test_dx2_scale_rejected_where_it_changes_nothing(self, problem):
@@ -224,24 +217,22 @@ class TestStudy:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert "sec" in format_study_table(rows)
 
-    def test_constant_data_zero_errors(self):
+    def test_constant_data_zero_errors(self, monkeypatch):
         # a constant profile is a fixed point: errors vanish identically
         from compactbp.limiters import Bounds
         from compactbp.schemes1d import Problem1D
-        import compactbp.problems as problems_mod
+        import compactbp.harness as harness
         const = Problem1D(name="const", x_lo=0.0, x_hi=1.0, bounds=Bounds(0, 1),
                           initial=lambda x: 0.5 + 0 * x, flux=lambda u: u,
                           max_fprime=1.0, exact=lambda x, t: 0.5 + 0 * x,
                           default_T=0.1)
-        orig = problems_mod._build
-        problems_mod._build = lambda pid: const if pid == "const" else orig(pid)
-        try:
-            cfg = RunConfig(problem="const", refine=(10, 20), T=0.1)
-            rows, _ = run_convergence_study(cfg)
-            assert rows[0].l1_error <= 1e-13
-            assert rows[1].l1_error <= 1e-13
-        finally:
-            problems_mod._build = orig
+        orig = harness.builtin
+        monkeypatch.setattr(harness, "builtin",
+                            lambda pid: const if pid == "const" else orig(pid))
+        cfg = RunConfig(problem="const", refine=(10, 20), T=0.1)
+        rows, _ = run_convergence_study(cfg)
+        assert rows[0].l1_error <= 1e-13
+        assert rows[1].l1_error <= 1e-13
 
     def test_reference_fallback_labelled(self, tmp_path):
         # 2d porous medium has no closed-form reference: the study compares
@@ -305,12 +296,12 @@ class TestCli:
         assert "Traceback" not in out.err
 
     def test_errors_while_stepping_keep_their_traceback(self, monkeypatch):
-        import compactbp.harness as harness
+        from compactbp.timeint import SspIntegrator
 
         def failing_step(*args, **kwargs):
             raise ValueError("raised while stepping")
 
-        monkeypatch.setattr(harness, "integrate_to", failing_step)
+        monkeypatch.setattr(SspIntegrator, "advance", failing_step)
         with pytest.raises(ValueError, match="raised while stepping"):
             main(["solve", "--problem", "linadv-sin4", "--N", "10", "--T", "0.01"])
 

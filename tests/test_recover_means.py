@@ -24,7 +24,7 @@ from compactbp.limiters import WeakMonotonicityError
 from compactbp.problems import builtin
 from compactbp.schemes1d import PeriodicScheme1D, StepContext
 from compactbp.schemes2d import PeriodicScheme2D, StepContext2D
-from compactbp.timeint import METHODS, SspIntegrator
+from compactbp.timeint import METHODS
 
 PUSH = 1e-9  # far beyond the bounds' default slack of 1e-12
 
@@ -129,8 +129,8 @@ def _count_calls(monkeypatch, names):
 ])
 def test_weightings_per_multistep_step(monkeypatch, kwargs, applies, solves):
     config = RunConfig(n=40, T=0.5, bp_limiter=True, integrator="ms4", **kwargs)
-    _, scheme, dt = build_scheme(config, config.n)
-    integ = SspIntegrator(scheme, "ms4", dt).start(scheme.initial_state()[0])
+    _, scheme, integ = build_scheme(config, config.n)
+    integ.start(*scheme.initial_state())
     window = max(METHODS["ms4"].tableau[0])
     for _ in range(window - 1):  # Runge-Kutta steps fill the history window
         integ.advance()
@@ -172,7 +172,8 @@ def test_unmodified_recovery_returns_its_means(kwargs, n):
     # an Euler step from random admissible states, recovered without
     # limiting (so unmodified, whatever the data)
     config = RunConfig(n=n, T=0.5, bp_limiter=False, **kwargs)
-    _, scheme, dt = build_scheme(config, n)
+    _, scheme, integ = build_scheme(config, n)
+    dt = integ.dt
     u0, t = scheme.initial_state()
     lo, hi = scheme.bounds.span
     rng = np.random.default_rng(n)
@@ -205,8 +206,8 @@ def test_means_calls_per_multistep_step(kwargs, moving_steps):
     # a multistep step weights its new state only when its recovery moved
     # points, and then the stored means are exactly means(u)
     config = RunConfig(n=40, T=0.5, bp_limiter=True, integrator="ms4", **kwargs)
-    _, scheme, dt = build_scheme(config, config.n)
-    integ = SspIntegrator(scheme, "ms4", dt).start(scheme.initial_state()[0])
+    _, scheme, integ = build_scheme(config, config.n)
+    integ.start(*scheme.initial_state())
     window = max(METHODS["ms4"].tableau[0])
     for _ in range(window - 1):
         integ.advance()

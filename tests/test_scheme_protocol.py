@@ -32,8 +32,8 @@ TRACED = (PeriodicScheme1D, PeriodicScheme2D, DirichletConvDiffScheme)
 def _built(problem, order):
     config = RunConfig(problem=problem, order=order, integrator="fe", n=12, T=0.01,
                        bp_limiter=True)
-    _, scheme, dt = build_scheme(config, config.n)
-    return scheme, dt
+    _, scheme, integ = build_scheme(config, config.n)
+    return scheme, integ.dt
 
 
 @pytest.mark.parametrize("problem, order, cls", SCHEMES)
@@ -64,7 +64,8 @@ def test_rhs_means_takes_the_callers_means():
     # forward-Euler step, Runge-Kutta stage and history entry
     config = RunConfig(problem="linadv-step", order=4, tvb=5.0, integrator="fe",
                        n=40, T=0.01, bp_limiter=True)
-    _, scheme, dt = build_scheme(config, config.n)
+    _, scheme, integ = build_scheme(config, config.n)
+    dt = integ.dt
     u0, _ = scheme.initial_state()
     m = scheme.means(u0)
     own = scheme.rhs_means(u0, 0.0)

@@ -9,7 +9,7 @@ import pytest
 from compactbp.limiters import LimiterReport
 from compactbp.schemes1d import CflError, PeriodicScheme1D, StepContext
 from compactbp.problems import builtin
-from compactbp.timeint import METHODS, SspIntegrator, _combination, integrate_to
+from compactbp.timeint import METHODS, SspIntegrator, _combination, schedule_run
 
 #: the order of accuracy each METHODS row must reach
 ORDERS = {"fe": 1, "rk4": 4, "ms4": 4}
@@ -126,7 +126,7 @@ class TestRungeKuttaTableau:
             # round-off of its fourth digit
             slack = 1.0003 if name == "ms4" else 1.0
             assert row.ssp <= ssp_ratio(row) * slack, name
-            # the step the harness schedules passes the integrator's check
+            # the step schedule_run schedules passes the integrator's check
             assert row.schedule <= row.ssp, name
 
     def test_stage_times_end_at_one(self):
@@ -183,26 +183,60 @@ class TestDriver:
         ctx = StepContext.create(dx, 4)
         return PeriodicScheme1D(problem, ctx, n=n, bp_limit=bp), dt
 
+    @staticmethod
+    def _times(integ):
+        """Run ``integ`` from its scheme's initial data; the step end times."""
+        integ.start(*integ.scheme.initial_state())
+        times = []
+        for _ in range(integ.steps):
+            integ.advance()
+            times.append(integ.time)
+        return times
+
     def test_single_step_when_T_equals_dt(self):
         scheme, dt = self._scheme()
-        state, log, _ = integrate_to(scheme, dt, "ms4", dt=dt)
-        assert len(log) == 1
-        assert log[-1] == pytest.approx(dt, rel=1e-15)
+        integ = schedule_run(scheme, "ms4", dt)
+        assert integ.steps == 1
+        assert self._times(integ) == [dt]
 
     def test_log_times_hit_T_exactly(self):
         scheme, dt = self._scheme()
         T = 0.37
-        state, log, _ = integrate_to(scheme, T, "ms4", dt=dt)
-        assert log[-1] == T  # exact, not approximate
-        assert len(log) == int(np.ceil(T / dt))
+        integ = schedule_run(scheme, "ms4", T)
+        times = self._times(integ)
+        assert times[-1] == T  # exact, not approximate
+        assert len(times) == integ.steps == int(np.ceil(T / dt))
+        assert integ.dt == T / integ.steps
 
     def test_full_period_returns_to_initial(self):
-        scheme, dt = self._scheme(n=100)
+        scheme, _ = self._scheme(n=100)
         T = 2 * np.pi  # one revolution at unit speed
-        state, log, _ = integrate_to(scheme, T, "ms4", dt=dt)
+        integ = schedule_run(scheme, "ms4", T)
+        self._times(integ)
         u0, _ = scheme.initial_state()
-        l1 = scheme.ctx.dx * np.abs(state - u0).sum()
+        l1 = scheme.ctx.dx * np.abs(integ.state - u0).sum()
         assert l1 < 5e-4  # bounded by the discretization error
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_run_step_is_the_largest_divisor_of_T(self, method):
+        # the step is at most the method's schedule share of the forward-
+        # Euler step, and one step fewer would exceed it
+        scheme, _ = self._scheme()
+        T = 0.37
+        for dt_fe in (None, 1e-3):
+            target = METHODS[method].schedule * (dt_fe or scheme.admissible_dt_fe())
+            integ = schedule_run(scheme, method, T, dt_fe)
+            assert integ.dt <= target < T / (integ.steps - 1)
+
+    def test_unlimited_step_takes_T_at_once(self):
+        integ = schedule_run(OdeScheme(lambda u, t: -u), "rk4", 2.5)
+        assert (integ.steps, integ.dt) == (1, 2.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_T_names_T(self, bad):
+        scheme, _ = self._scheme()
+        with pytest.raises(ValueError, match=f"T must be positive and finite, got T = {bad}"):
+            schedule_run(scheme, "ms4", bad)
 
     def test_dt_too_large_raises(self):
         scheme, dt = self._scheme()
@@ -233,6 +267,8 @@ class TestDriver:
         scheme, dt = self._scheme()
         with pytest.raises(ValueError, match="unknown method 'rk9'"):
             SspIntegrator(scheme, "rk9", dt)
+        with pytest.raises(ValueError, match="unknown method 'rk9'"):
+            schedule_run(scheme, "rk9", 1.0)
 
     def test_ms_priming_window(self):
         # the history array holds one slot per history entry (ms4: its
