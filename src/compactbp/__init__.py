@@ -11,16 +11,16 @@ from .limiters import (Bounds, LimiterReport, RedistributionError,
                        SetClassification, WeakMonotonicityError, classify_sets,
                        limit_bounds, limit_bounds_segment)
 from .operators import (CoefficientDomainError, CoefficientSet, DiffStencil,
-                        WeightOperator, apply_weighting, difference_stencil,
+                        apply_weighting, difference_stencil,
                         first_derivative_coefficients, recovery_chain,
                         second_derivative_coefficients, solve_weighting)
-from .schemes1d import (CflError, PeriodicScheme1D, Problem1D, Scheme,
-                        StepContext, max_stable_dt)
+from .schemes1d import (PeriodicScheme1D, Problem1D, Scheme, StepContext,
+                        max_stable_dt)
 from .schemes2d import PeriodicScheme2D, Problem2D, StepContext2D
 from .boundary import (DirichletConvDiffScheme, InflowOutflowScheme,
                        outflow_extrapolate)
 from .problems import BUILTIN_IDS, barenblatt, builtin
-from .timeint import METHODS, SspIntegrator, schedule_run
+from .timeint import METHODS, CflError, SspIntegrator, schedule_run
 from .harness import (ConfigError, ErrorRow, RunConfig, error_norms,
                       run_convergence_study, run_single)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import WeightOperator, apply_weighting, solve_weighting
+from .operators import apply_weighting, solve_weighting
 
 _TINY = 1e-14
 
@@ -264,7 +264,7 @@ def _rebalance_set(u, v, members, lo, hi, tol):
 def _weighted_means(U, c, ends):
     """The c-weighted means of the ``(n, lines)`` array ``U`` (see ``_limit``)."""
     if ends is None:
-        return apply_weighting(WeightOperator(c), U)
+        return apply_weighting(c, U)
     # three-point means with a ghost row beyond each end: the fixed end
     # values, or placeholders that the two-point end rows replace
     edge = isinstance(ends, str)
@@ -459,11 +459,10 @@ def recover_point_values(means: np.ndarray, levels, bounds: Bounds,
     x = np.asarray(means, dtype=float)
     report = None
     for c, axis in levels:
-        weighting = WeightOperator(c)
         rhs = x
-        x = solve_weighting(weighting, rhs, axis=axis)
+        x = solve_weighting(c, rhs, axis=axis)
         if limiting:
-            x, rep = limit_bounds(x, bounds, weighting.c, axis=axis, means=rhs)
+            x, rep = limit_bounds(x, bounds, c, axis=axis, means=rhs)
             report = rep if report is None else report.merge(rep)
     return x, LimiterReport() if report is None else report
 

@@ -153,26 +153,16 @@ def second_derivative_coefficients(accuracy_order: int,
 # Weighting operators
 # ---------------------------------------------------------------------------
 
-class WeightOperator:
-    """Normalized symmetric periodic tridiagonal weighting ``(1, c, 1)/(c+2)``.
+def _check_weighting(c: float, u: np.ndarray, axis: int) -> None:
+    """Refuse a c-value below 2 and a periodic line shorter than 3 points.
 
     ``c >= 2`` guarantees strict diagonal dominance, so the circulant
     inverse exists and is computed by non-pivoting elimination.
     """
-
-    __slots__ = ("c",)
-
-    def __init__(self, c: float):
-        if c < 2.0:
-            raise CoefficientDomainError(f"weighting requires c >= 2, got {c}")
-        self.c = float(c)
-
-    def __repr__(self):  # pragma: no cover
-        return f"WeightOperator(c={self.c})"
-
-    def _check_size(self, u: np.ndarray, axis: int = 0):
-        if u.shape[axis] < 3:
-            raise ValueError("periodic weighting needs at least 3 points")
+    if c < 2.0:
+        raise CoefficientDomainError(f"weighting requires c >= 2, got {c}")
+    if u.shape[axis] < 3:
+        raise ValueError("periodic weighting needs at least 3 points")
 
 
 def _periodic_pad(v: np.ndarray, width: int) -> np.ndarray:
@@ -185,16 +175,15 @@ def _periodic_pad(v: np.ndarray, width: int) -> np.ndarray:
     return np.concatenate((v[-width:], v, v[:width]))
 
 
-def apply_weighting(w: WeightOperator, u: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Apply the weighting stencil exactly (no solve).
+def apply_weighting(c: float, u: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Apply the weighting ``(1, c, 1)/(c+2)`` along ``axis`` exactly (no solve).
 
     Maps length-N periodic fields to length-N weighted means and preserves
     the mean; evaluates ``(u_{i-1} + c u_i) + u_{i+1}``, then divides by
     ``c + 2``.
     """
     u = np.asarray(u, dtype=float)
-    w._check_size(u, axis)
-    c = w.c
+    _check_weighting(c, u, axis)
     ext = _periodic_pad(u.swapaxes(0, axis), 1)
     out = c * u
     o = out.swapaxes(0, axis)
@@ -289,8 +278,9 @@ def _cyclic_inverse(n: int, c: float) -> np.ndarray:
     return inv
 
 
-def solve_weighting(w: WeightOperator, rhs: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Solve ``W x = rhs`` for a periodic weighting along every line of ``rhs``.
+def solve_weighting(c: float, rhs: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Solve ``W x = rhs`` for the periodic weighting ``(1, c, 1)/(c+2)``
+    along every line of ``rhs`` (lines along ``axis``).
 
     A single line (1D ``rhs``) is an O(N) LU solve of the cyclic system's
     tridiagonal part on factors cached per ``(n, c)``, with a rank-one
@@ -302,13 +292,13 @@ def solve_weighting(w: WeightOperator, rhs: np.ndarray, axis: int = 0) -> np.nda
     raises ``ValueError``.
     """
     rhs = np.asarray(rhs, dtype=float)
-    w._check_size(rhs, axis)
+    _check_weighting(c, rhs, axis)
     _check_finite(rhs)
     if rhs.ndim == 1:
-        return _lu_cyclic_solve(w.c, rhs.reshape(-1, 1)).reshape(-1)
+        return _lu_cyclic_solve(c, rhs.reshape(-1, 1)).reshape(-1)
     moved = rhs.swapaxes(0, axis)
     n = moved.shape[0]
-    x = _cyclic_inverse(n, w.c) @ moved.reshape(n, -1)
+    x = _cyclic_inverse(n, c) @ moved.reshape(n, -1)
     return x.reshape(moved.shape).swapaxes(0, axis)
 
 
@@ -350,7 +340,7 @@ def recovery_chain(coeffs: CoefficientSet) -> tuple[float, ...]:
     Both are >= 2, so the three-point limiter applies at each level.
     """
     if coeffs.accuracy_order == 4:
-        return (round(1.0 / coeffs.alpha),)
+        return (float(round(1.0 / coeffs.alpha)),)
     alpha = coeffs.alpha
     if coeffs.derivative_order == 1:
         base = 6.0 * alpha / (3.0 * alpha - 1.0)
@@ -372,7 +362,7 @@ def apply_levels(levels, u: np.ndarray) -> np.ndarray:
     """
     out = np.asarray(u, dtype=float)
     for c, axis in levels:
-        out = apply_weighting(WeightOperator(c), out, axis=axis)
+        out = apply_weighting(c, out, axis=axis)
     return out
 
 

@@ -8,10 +8,10 @@ per term family (convection and diffusion): its means apply the levels,
 its right-hand side wraps each directional term in the levels it lacks
 (:func:`weighted_rhs`), and recovery solves and limits them one at a time
 (:func:`.limiters.recover_point_values`).  :class:`Scheme` is the protocol every
-scheme (1D, 2D and the non-periodic ones) shares: forward-Euler steps are
-exposed directly, and the SSP integrators of :mod:`.timeint` drive the
-same ``means`` / ``rhs_means`` / ``recover`` triple through convex
-combinations.
+scheme (1D, 2D and the non-periodic ones) shares: the SSP integrators of
+:mod:`.timeint`, forward Euler among them, drive its ``means`` /
+``rhs_means`` / ``recover`` triple through convex combinations of
+forward-Euler steps.
 """
 
 from __future__ import annotations
@@ -24,26 +24,6 @@ import numpy as np
 
 from . import operators as ops
 from .limiters import Bounds, LimiterReport, flux_difference, recover_point_values, tvb_flux
-
-
-class CflError(ValueError):
-    """Time step too large for the weak-monotonicity constraint."""
-
-    def __init__(self, dt, admissible, what=""):
-        self.dt = float(dt)
-        self.admissible = float(admissible)
-        super().__init__(
-            f"dt = {dt:.6g} exceeds the admissible forward-Euler step "
-            f"{admissible:.6g}{(' for ' + what) if what else ''}")
-
-
-def check_dt(dt: float, admissible: float, what: str = "") -> None:
-    """Raise :class:`CflError` when ``dt`` exceeds ``admissible`` beyond
-    round-off, and ``ValueError`` when it is not finite."""
-    if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt}{(' for ' + what) if what else ''}")
-    if dt > admissible * (1.0 + 1e-9):
-        raise CflError(dt, admissible, what)
 
 
 def check_grid_size(problem, n: int | None, minimum: int, what: str = "N") -> None:
@@ -230,14 +210,6 @@ class Scheme:
         if self.problem.exact is None:
             return None
         return np.asarray(self.problem.exact(*self.grid(), t), dtype=float)
-
-    def euler_step(self, u: np.ndarray, dt: float, t: float = 0.0):
-        """One forward-Euler step from time ``t``: returns (u_new, means_new, report)."""
-        check_dt(dt, self.admissible_dt_fe(), self.problem.name)
-        m = self.means(u)
-        q = m + dt * self.rhs_means(u, t, means=m)
-        u_new, report = self.recover(q, t + dt)
-        return u_new, q, report
 
 
 class PeriodicScheme1D(Scheme):

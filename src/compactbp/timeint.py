@@ -10,11 +10,13 @@ coefficient.  :class:`SspIntegrator` runs any row: Shu-Osher stages for
 a one-step method and while a multistep history window fills, the
 multistep combination once it is full.
 
-This module owns the time step.  :func:`schedule_run` builds the
-integrator of a run to ``T``: the row's ``schedule`` share of the
-admissible forward-Euler step, shrunk to the nearest divisor of ``T`` so
-the multistep history keeps a constant step and the run ends at ``T``
-exactly.
+This module owns the time step: :class:`SspIntegrator` is the one place
+a step is checked against the scheme's CFL bound (:class:`CflError`),
+and forward Euler is its one-stage ``fe`` row.  :func:`schedule_run`
+builds the integrator of a run to ``T``: the row's ``schedule`` share of
+the admissible forward-Euler step, shrunk to the nearest divisor of
+``T`` so the multistep history keeps a constant step and the run ends at
+``T`` exactly.
 
 The integrator keeps the means and slopes it combines in one array, a
 slot of two fields (means, slope) per history entry and per inner stage,
@@ -35,12 +37,23 @@ time.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from .limiters import LimiterReport
-from .schemes1d import check_dt
+
+
+class CflError(ValueError):
+    """Time step too large for the weak-monotonicity constraint."""
+
+    def __init__(self, dt, admissible, what=""):
+        self.dt = float(dt)
+        self.admissible = float(admissible)
+        super().__init__(
+            f"dt = {dt:.6g} exceeds the admissible forward-Euler step "
+            f"{admissible:.6g}{(' for ' + what) if what else ''}")
 
 
 class SspMethod(NamedTuple):
@@ -128,13 +141,17 @@ class SspIntegrator:
 
     def __init__(self, scheme, method: str, span: float, steps: int = 1):
         row = _method(method)
+        if not (isinstance(steps, numbers.Integral) and steps >= 1):
+            raise ValueError(f"steps must be a positive integer, got steps = {steps!r}")
         dt = float(span) / steps
         if not math.isfinite(dt) or dt <= 0:
             raise ValueError(f"dt must be positive and finite, got {dt}")
+        admissible = row.ssp * scheme.admissible_dt_fe()
+        if dt > admissible * (1.0 + 1e-9):
+            raise CflError(dt, admissible, method)
         self.scheme = scheme
         self.method = method
         self.span, self.steps, self.dt = float(span), steps, dt
-        check_dt(dt, row.ssp * scheme.admissible_dt_fe(), method)
         self._window = window = max(row.tableau[0]) if row.tableau is not None else 1
         # rows interleave the coefficients of each slot's means and slope;
         # stage k's row covers stages 0 to k - 1
@@ -240,5 +257,7 @@ def schedule_run(scheme, method: str, T: float, dt_fe: float | None = None):
         raise ValueError(f"T must be positive and finite, got T = {T}")
     if dt_fe is None:
         dt_fe = scheme.admissible_dt_fe()
+    elif not dt_fe > 0:  # NaN fails too; inf sets no limit
+        raise ValueError(f"dt_fe must be positive, got dt_fe = {dt_fe}")
     steps = max(1, math.ceil(T / (row.schedule * dt_fe) * (1.0 - 1e-12)))
     return SspIntegrator(scheme, method, T, steps)

@@ -16,7 +16,7 @@ import numpy as np
 
 from compactbp.limiters import (_TINY, Bounds, LimiterReport, RedistributionError,
                                 WeakMonotonicityError)
-from compactbp.operators import WeightOperator, apply_weighting
+from compactbp.operators import apply_weighting
 
 
 def _check_means(means, lo, hi, tol):
@@ -154,7 +154,7 @@ def limit_bounds(u: np.ndarray, bounds: Bounds, c: float) -> tuple[np.ndarray, L
         raise ValueError(f"limiter requires c >= 2, got {c}")
     lo, hi = bounds.span
     tol = bounds.tol
-    means = apply_weighting(WeightOperator(c), u)
+    means = apply_weighting(c, u)
     _check_means(means, lo, hi, tol)
     report = LimiterReport()
     over = u > hi

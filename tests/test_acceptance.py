@@ -13,7 +13,7 @@ import pytest
 
 from compactbp.harness import RunConfig, build_scheme, run_convergence_study, run_level
 from compactbp.limiters import Bounds, limit_bounds
-from compactbp.operators import (WeightOperator, apply_weighting,
+from compactbp.operators import (apply_weighting,
                                  first_derivative_coefficients, recovery_chain,
                                  second_derivative_coefficients, solve_weighting)
 from compactbp.schemes1d import PeriodicScheme1D, StepContext
@@ -221,11 +221,10 @@ class TestCriterion10:
         per_case = total // len(cases)
         checked = idem = 0
         for n, c, bounds in cases:
-            w = WeightOperator(c)
             budget = 1e-12 * n * max(1.0, abs(bounds.lower), abs(bounds.upper))
             for _ in range(per_case):
                 means = rng.uniform(bounds.lower, bounds.upper, n)
-                u = solve_weighting(w, means)
+                u = solve_weighting(c, means)
                 v, rep = limit_bounds(u, bounds, c)
                 assert v.min() >= bounds.lower - 1e-13
                 assert v.max() <= bounds.upper + 1e-13
@@ -245,11 +244,10 @@ class TestCriterion10:
         lo, hi, delta = 0.0, 1.0, 0.25
         bounds = Bounds(lo, hi)
         lattice = np.array([lo - delta, lo, 0.5 * (lo + hi), hi, hi + delta])
-        w = WeightOperator(4.0)
         admissible = 0
         for combo in itertools.product(range(5), repeat=5):
             u = lattice[list(combo)]
-            means = apply_weighting(w, u)
+            means = apply_weighting(4.0, u)
             if means.min() < lo or means.max() > hi:
                 continue
             admissible += 1
@@ -271,9 +269,9 @@ class TestCriterion10:
                     for k, coef in enumerate(row, start=-2):
                         W[i, (i + k) % n] += coef
                 eye = np.eye(n)
-                F1 = np.column_stack([apply_weighting(WeightOperator(c_small), col)
+                F1 = np.column_stack([apply_weighting(c_small, col)
                                       for col in eye])
-                F2 = np.column_stack([apply_weighting(WeightOperator(c_big), col)
+                F2 = np.column_stack([apply_weighting(c_big, col)
                                       for col in eye])
                 assert np.abs(W - F1 @ F2).max() <= 1e-13
 
@@ -289,9 +287,8 @@ class TestCriterion10:
         rng = np.random.default_rng(77)
         for n in (8, 33, 128):
             for c in (2.5, 4.0, 10.0, 13.5):
-                w = WeightOperator(c)
                 u = rng.normal(size=n)
-                assert np.abs(solve_weighting(w, apply_weighting(w, u)) - u).max() <= 1e-12
+                assert np.abs(solve_weighting(c, apply_weighting(c, u)) - u).max() <= 1e-12
         _report(10, "weighting round trips <= 1e-12")
 
     def test_integrator_order_conditions(self):

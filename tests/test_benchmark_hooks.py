@@ -3,14 +3,18 @@
 The benchmark's tracer wraps solver functions and methods by name, and its
 workers build ``harness.RunConfig`` from keyword arguments, so deleting or
 renaming one of those names breaks ``solverbench/run.py --trace 1`` or
-every benchmark solve.  Both benchmark modules are loaded from their files
-without being changed.
+every benchmark solve; its solve attributes read ``solve_weighting``'s
+arguments by position, so reordering them breaks the solve layer's
+numbers.  Both benchmark modules are loaded from their files without
+being changed.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import compactbp
@@ -82,3 +86,32 @@ def test_run_single_steps_and_starts_once(monkeypatch, tmp_path, name):
     counted(compactbp.schemes1d.Scheme, "initial_state")
     result, _ = harness.run_single(config)
     assert calls == {"advance": result["steps"], "initial_state": 1}
+
+
+def test_solve_attrs_read_the_solve_arguments(monkeypatch):
+    # the tracer takes rhs from the second positional argument of
+    # solve_weighting and the axis from the third or the keyword: record
+    # the solves of one 2D recovery on a non-square field, whose lines
+    # differ in length along the two axes, and read each one back
+    scheme = compactbp.PeriodicScheme2D(compactbp.builtin("2d-convdiff"),
+                                        compactbp.StepContext2D(0.3, 0.4))
+    x, y = np.meshgrid(np.linspace(0.0, 6.0, 9), np.linspace(0.0, 6.0, 7), indexing="ij")
+    q = scheme.means(0.5 * np.sin(x) * np.cos(y))
+    solve = compactbp.operators.solve_weighting
+    signature = inspect.signature(solve)
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return solve(*args, **kwargs)
+
+    for module in (compactbp.operators, compactbp.limiters):
+        monkeypatch.setattr(module, "solve_weighting", recorder)
+    scheme.recover(q, 0.0)
+    assert len(calls) == len(scheme.levels) == 4
+    for (args, kwargs), (c, axis) in zip(calls, scheme.levels):
+        given = signature.bind(*args, **kwargs).arguments
+        rhs = given["rhs"]
+        assert (given["c"], given.get("axis", 0)) == (c, axis)
+        assert tracing._solve_attrs(args, kwargs, None) == {
+            "points": rhs.size, "bytes": 8 * (2 * rhs.size + 5 * rhs.shape[axis])}

@@ -8,8 +8,9 @@ from compactbp import boundary as rows
 from compactbp.boundary import (DirichletConvDiffScheme, InflowOutflowScheme,
                                 _banded_end_aware, outflow_extrapolate)
 from compactbp.limiters import Bounds
-from compactbp.schemes1d import CflError, Problem1D, StepContext
+from compactbp.schemes1d import Problem1D, StepContext
 from compactbp.problems import builtin
+from compactbp.timeint import CflError, SspIntegrator
 
 
 class TestOutflowExtrapolate:
@@ -47,7 +48,7 @@ class TestInflowOutflow:
         n = 20
         scheme = InflowOutflowScheme(prob, StepContext.create(1.0 / (n + 1), 4))
         u0 = np.full(n + 2, 0.5)
-        u1, q, _ = scheme.euler_step(u0, 1e-3)
+        u1 = SspIntegrator(scheme, "fe", 1e-3).start(u0).advance()
         assert_allclose(u1, u0, atol=1e-14)
 
     def test_dense_assembly_oracle(self):
@@ -58,7 +59,7 @@ class TestInflowOutflow:
         scheme = InflowOutflowScheme(prob, StepContext.create(dx, 4), n=n, bp_limit=False)
         (x,) = scheme.grid()
         u0 = prob.initial(x)
-        u1, q1, _ = scheme.euler_step(u0, dt, t=0.0)
+        u1 = SspIntegrator(scheme, "fe", dt).start(u0, 0.0).advance()
         # dense route: means update, boundary values, tridiagonal solve
         f = prob.flux(u0)
         q = (u0[:-2] + 4 * u0[1:-1] + u0[2:]) / 6 - dt / (2 * dx) * (f[2:] - f[:-2])
@@ -90,7 +91,7 @@ class TestInflowOutflow:
         prob = constant_inflow_problem()
         scheme = InflowOutflowScheme(prob, StepContext.create(0.1, 4))
         with pytest.raises(CflError):
-            scheme.euler_step(np.full(12, 0.5), 0.2)
+            SspIntegrator(scheme, "fe", 0.2)
 
     def test_bounds_after_recovery(self):
         prob = builtin("inflow-burgers")
@@ -98,11 +99,9 @@ class TestInflowOutflow:
         dx = prob.length / (n + 1)
         dt = 0.1648 * dx / 3.0
         scheme = InflowOutflowScheme(prob, StepContext.create(dx, 4), n=n, bp_limit=True)
-        u = prob.initial(scheme.grid()[0])
-        t = 0.0
+        integ = SspIntegrator(scheme, "fe", dt).start(prob.initial(scheme.grid()[0]))
         for _ in range(50):
-            u, _, _ = scheme.euler_step(u, dt, t)
-            t += dt
+            u = integ.advance()
             assert u.min() >= -1e-12
             assert u.max() <= 1 + 1e-12
 
@@ -158,7 +157,7 @@ class TestDirichletScheme:
         n = 18
         scheme = DirichletConvDiffScheme(prob, StepContext.create(1.0 / (n + 1), 4))
         u0 = np.full(n + 2, 0.5)
-        u1, q, _ = scheme.euler_step(u0, 1e-4)
+        u1 = SspIntegrator(scheme, "fe", 1e-4).start(u0).advance()
         assert_allclose(u1, u0, atol=1e-14)
 
     def test_reconstruction_factorization(self):
@@ -204,7 +203,8 @@ class TestDirichletScheme:
         dt = 1e-4
         scheme = DirichletConvDiffScheme(prob, StepContext.create(dx, 4), n=n, bp_limit=False)
         u0 = prob.initial(scheme.grid()[0])
-        u1, q1, _ = scheme.euler_step(u0, dt, t=0.0)
+        u1 = SspIntegrator(scheme, "fe", dt).start(u0, 0.0).advance()
+        q1 = scheme.means(u0) + dt * scheme.rhs_means(u0, 0.0)
         # dense mean update from the printed rows
         f, g = prob.flux(u0), prob.diffusion(u0)
         q = scheme.means(u0)
@@ -258,7 +258,7 @@ class TestDirichletScheme:
         n = 10
         scheme = DirichletConvDiffScheme(bad, StepContext.create(1.0 / (n + 1), 4))
         with pytest.raises(ValueError, match="outside bounds"):
-            scheme.euler_step(np.full(n + 2, 0.5), 1e-5)
+            SspIntegrator(scheme, "fe", 1e-5).start(np.full(n + 2, 0.5)).advance()
 
     def test_cfl_constants(self):
         prob = builtin("dirichlet-convdiff")
@@ -274,10 +274,8 @@ class TestDirichletScheme:
         dx = prob.length / (n + 1)
         dt = 0.1648 * min((4 / 19) * dx, (695 / 1596) * dx ** 2 / 0.01)
         scheme = DirichletConvDiffScheme(prob, StepContext.create(dx, 4), n=n, bp_limit=True)
-        u = prob.initial(scheme.grid()[0])
-        t = 0.0
+        integ = SspIntegrator(scheme, "fe", dt).start(prob.initial(scheme.grid()[0]))
         for _ in range(50):
-            u, _, _ = scheme.euler_step(u, dt, t)
-            t += dt
+            u = integ.advance()
             assert u.min() >= -1 - 1e-12
             assert u.max() <= 1 + 1e-12

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import limiter_oracle as oracle
 from compactbp.limiters import (Bounds, RedistributionError, WeakMonotonicityError,
                                 classify_sets, limit_bounds, limit_bounds_segment)
-from compactbp.operators import WeightOperator, apply_weighting, solve_weighting
+from compactbp.operators import apply_weighting, solve_weighting
 from compactbp.problems import builtin
 from compactbp.schemes2d import PeriodicScheme2D, Problem2D, StepContext2D
 
@@ -26,7 +26,7 @@ UNIT = Bounds(0.0, 1.0)
 def admissible_with_means(rng, shape, bounds, c, axis=0):
     """Admissible point values and the means they were solved from."""
     means = rng.uniform(bounds.lower, bounds.upper, shape)
-    return solve_weighting(WeightOperator(c), means, axis=axis), means
+    return solve_weighting(c, means, axis=axis), means
 
 
 def admissible(rng, shape, bounds, c, axis=0):
@@ -111,11 +111,10 @@ class TestMatchesOracle:
 
     def test_lattice_with_sawtooth_and_whole_circle(self):
         lattice = np.array([-0.25, 0.0, 0.5, 1.0, 1.25])
-        w = WeightOperator(4.0)
         whole = sets = 0
         for combo in itertools.product(range(5), repeat=5):
             u = lattice[list(combo)]
-            means = apply_weighting(w, u)
+            means = apply_weighting(4.0, u)
             if means.min() < 0.0 or means.max() > 1.0:
                 continue
             want, want_rep = oracle.limit_bounds(u, UNIT, 4.0)
@@ -274,7 +273,7 @@ class TestMatchesOracle:
         q = oriented(q, order)
         want = q
         for c, axis in scheme.levels:
-            want = solve_weighting(WeightOperator(c), want, axis=axis)
+            want = solve_weighting(c, want, axis=axis)
             want, _ = oracle.limit_lines(want, prob.bounds, c, axis)
         got, rep = scheme.recover(q)
         assert same_bits(got, want)
@@ -302,7 +301,7 @@ class TestReports2D:
         # 1.1/-0.1 has c=4 means 0.3/0.7); recovery must say so
         field = np.full((8, 6), 0.5)
         field[:, 3] = np.tile([1.1, -0.1], 4)
-        q = apply_weighting(WeightOperator(4.0), field, axis=0)
+        q = apply_weighting(4.0, field, axis=0)
         u, rep = convection_scheme().recover(q)
         assert rep.whole_circle_fallback
         assert rep.rebalance_used
@@ -340,10 +339,9 @@ class TestGivenMeans:
 
     def test_lattice(self):
         lattice = np.array([-0.25, 0.0, 0.5, 1.0, 1.25])
-        w = WeightOperator(4.0)
         for combo in itertools.product(range(5), repeat=5):
             u = lattice[list(combo)]
-            means = apply_weighting(w, u)
+            means = apply_weighting(4.0, u)
             if means.min() < 0.0 or means.max() > 1.0:
                 continue
             want, want_rep = limit_bounds(u, UNIT, 4.0)
@@ -478,7 +476,7 @@ def admissible_lines(draw):
     bounds = draw(st.sampled_from(BOUNDS))
     fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     means = bounds.lower + (bounds.upper - bounds.lower) * np.array(fractions)
-    return solve_weighting(WeightOperator(c), means), bounds, c
+    return solve_weighting(c, means), bounds, c
 
 
 def scale(bounds):
@@ -540,8 +538,8 @@ def lines_with_signed_zeros(draw):
     means = lo + (hi - lo) * np.array(fractions)
     if ends is None:
         def means_of(x):
-            return apply_weighting(WeightOperator(c), x)
-        u = solve_weighting(WeightOperator(c), means)
+            return apply_weighting(c, x)
+        u = solve_weighting(c, means)
     else:
         A = _segment_matrix(n, c, edge_rows=ends == "edge")
         beyond = np.zeros(n)

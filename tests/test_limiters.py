@@ -13,7 +13,7 @@ from compactbp.limiters import (
     limit_bounds, limit_bounds_segment, recover_point_values,
     _minmod_rows, tvb_flux,
 )
-from compactbp.operators import (WeightOperator, apply_levels, apply_weighting,
+from compactbp.operators import (apply_levels, apply_weighting,
                                  solve_weighting)
 from compactbp.problems import builtin
 
@@ -21,7 +21,7 @@ from compactbp.problems import builtin
 def admissible_field(rng, n, bounds, c):
     """Draw point values whose c-weighted means lie inside the bounds."""
     means = rng.uniform(bounds.lower, bounds.upper, n)
-    return solve_weighting(WeightOperator(c), means)
+    return solve_weighting(c, means)
 
 
 def conservation_budget(n, bounds):
@@ -157,9 +157,9 @@ class TestCascade:
         rng = np.random.default_rng(0)
         bounds = Bounds(0.0, 1.0)
         u = admissible_field(rng, 16, bounds, 4.0)
-        means = apply_weighting(WeightOperator(4.0), u)
+        means = apply_weighting(4.0, u)
         via_cascade, _ = recover_point_values(means, ((4.0, 0),), bounds, True)
-        direct, _ = limit_bounds(solve_weighting(WeightOperator(4.0), means), bounds, 4.0)
+        direct, _ = limit_bounds(solve_weighting(4.0, means), bounds, 4.0)
         assert_allclose(via_cascade, direct, rtol=0, atol=0)
 
     def test_identity_inside(self):
@@ -173,13 +173,12 @@ class TestCascade:
         rng = np.random.default_rng(1)
         bounds = Bounds(0.0, 1.0)
         q = rng.uniform(0, 1, 24)
-        w4, w10 = WeightOperator(4.0), WeightOperator(10.0)
-        u = solve_weighting(w4, solve_weighting(w10, q))
+        u = solve_weighting(4.0, solve_weighting(10.0, q))
         got, rep = recover_point_values(q, ((10.0, 0), (4.0, 0)), bounds, True)
         # sequential hand application: solve/limit at c=10, then c=4
-        stage1 = solve_weighting(w10, q)
+        stage1 = solve_weighting(10.0, q)
         stage1, _ = limit_bounds(stage1, bounds, 10.0)
-        stage2 = solve_weighting(w4, stage1)
+        stage2 = solve_weighting(4.0, stage1)
         expected, _ = limit_bounds(stage2, bounds, 4.0)
         assert_allclose(got, expected, atol=1e-13)
         assert got.min() >= bounds.lower - 1e-13
@@ -241,7 +240,7 @@ class TestRandomizedProperties:
         for n in (64, 128, 256):
             x = 2 * np.pi * np.arange(n) / n
             means = 0.5 + 0.5 * np.sin(x) ** 4
-            u = solve_weighting(WeightOperator(4.0), means)
+            u = solve_weighting(4.0, means)
             excess = np.maximum(u - bounds.upper, 0) + np.maximum(bounds.lower - u, 0)
             assert excess.max() > 0  # the fixture must actually trigger
             v, rep = limit_bounds(u, bounds, 4.0)
@@ -254,11 +253,10 @@ class TestExhaustiveLattice:
         bounds = Bounds(lo, hi)
         lattice = np.array([lo - delta, lo, 0.5 * (lo + hi), hi, hi + delta])
         c = 4.0
-        w = WeightOperator(c)
         admissible = checked = 0
         for combo in itertools.product(range(5), repeat=5):
             u = lattice[list(combo)]
-            means = apply_weighting(w, u)
+            means = apply_weighting(c, u)
             if means.min() < lo or means.max() > hi:
                 continue
             admissible += 1
@@ -466,17 +464,17 @@ class TestTvbEulerStep:
         self.n = 100
         self.x = 2 * np.pi * np.arange(1, self.n + 1) / self.n
         self.dx = 2 * np.pi / self.n
-        self.w = WeightOperator(4.0)
+        self.c = 4.0
 
     def test_constant_state(self):
         u = np.full(self.n, 0.5)
-        q = tvb_euler_step(u, apply_weighting(self.w, u), self.problem,
+        q = tvb_euler_step(u, apply_weighting(self.c, u), self.problem,
                            1 / 12, 5.0, self.dx)
         assert_allclose(q, u, atol=1e-15)
 
     def test_smooth_resolved_matches_plain_flux(self):
         u = 0.5 + 0.25 * np.sin(self.x)
-        ubar = apply_weighting(self.w, u)
+        ubar = apply_weighting(self.c, u)
         q = tvb_euler_step(u, ubar, self.problem, 1 / 12, 5.0, self.dx)
         fhat = 0.5 * (u + np.roll(u, -1))
         plain = ubar - (1 / 12) * (fhat - np.roll(fhat, 1))
@@ -484,7 +482,7 @@ class TestTvbEulerStep:
 
     def test_step_data_means_bounded(self):
         u = self.problem.initial(self.x)
-        ubar = apply_weighting(self.w, u)
+        ubar = apply_weighting(self.c, u)
         q = tvb_euler_step(u, ubar, self.problem, 1 / 12, 5.0, self.dx)
         assert q.min() >= -1e-12
         assert q.max() <= 1 + 1e-12
@@ -492,7 +490,7 @@ class TestTvbEulerStep:
     def test_scalar_matches_vector_minmod(self):
         rng = np.random.default_rng(12)
         u = rng.uniform(0, 1, 32)
-        ubar = apply_weighting(self.w, u)
+        ubar = apply_weighting(self.c, u)
         dx = 0.05
         fhat = tvb_flux(u, ubar, self.problem, dx, 5.0)
         # recompute one interface with a scalar modified minmod
@@ -518,7 +516,7 @@ class TestTvbEulerStep:
             lo, hi = problem.bounds.span
             for n in (3, 8, 100):
                 u = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(lo, hi, n))
-                ubar = apply_weighting(self.w, u)
+                ubar = apply_weighting(self.c, u)
                 for p in (0.0, 5.0, 1e6):
                     fhat = tvb_flux(u, ubar, problem, self.dx, p)
                     ref = roll_tvb_flux(u, ubar, problem, self.dx, p)
@@ -537,7 +535,7 @@ class TestTvbEulerStep:
         ]
         for problem in (self.problem, builtin("burgers-sin")):
             for u in cases:
-                for ubar in (u, u[::-1].copy(), apply_weighting(self.w, u)):
+                for ubar in (u, u[::-1].copy(), apply_weighting(self.c, u)):
                     for p in (0.0, 5.0, 1e6):
                         for dx in (self.dx, 1e-160):
                             fhat = tvb_flux(u, ubar, problem, dx, p)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import solve_banded
 
 from compactbp.operators import (
-    CoefficientDomainError, WeightOperator, apply_weighting,
+    CoefficientDomainError, apply_weighting,
     apply_levels, difference_stencil,
     first_derivative_coefficients, recovery_chain,
     second_derivative_coefficients, solve_open_weighting, solve_weighting,
@@ -25,7 +25,7 @@ def compact_derivative(cs, f, dx):
     then the weighting inverted through its tridiagonal chain."""
     rhs = difference_stencil(cs).apply(f) / dx ** cs.derivative_order
     for c in recovery_chain(cs):
-        rhs = solve_weighting(WeightOperator(c), rhs)
+        rhs = solve_weighting(c, rhs)
     return rhs
 
 
@@ -38,8 +38,8 @@ def dense_circulant(row, n):
     return A
 
 
-def dense_weighting(w: WeightOperator, n):
-    return np.column_stack([apply_weighting(w, col) for col in np.eye(n)])
+def dense_weighting(c, n):
+    return np.column_stack([apply_weighting(c, col) for col in np.eye(n)])
 
 
 class TestFirstDerivativeCoefficients:
@@ -146,8 +146,8 @@ class TestFactorization:
         c_big, c_small = recovery_chain(cs)
         for n in (8, 16, 33):
             W = dense_circulant(weighting_row(cs), n)
-            prod = (dense_weighting(WeightOperator(c_small), n)
-                    @ dense_weighting(WeightOperator(c_big), n))
+            prod = (dense_weighting(c_small, n)
+                    @ dense_weighting(c_big, n))
             assert np.abs(W - prod).max() <= 1e-13
 
     @pytest.mark.parametrize("alpha", [0.2, 0.3, 344 / 1179, 0.5, 60 / 113])
@@ -156,8 +156,8 @@ class TestFactorization:
         c_big, c_small = recovery_chain(cs)
         for n in (8, 16, 33):
             W = dense_circulant(weighting_row(cs), n)
-            prod = (dense_weighting(WeightOperator(c_small), n)
-                    @ dense_weighting(WeightOperator(c_big), n))
+            prod = (dense_weighting(c_small, n)
+                    @ dense_weighting(c_big, n))
             assert np.abs(W - prod).max() <= 1e-13
 
     def test_chain_order(self):
@@ -166,85 +166,93 @@ class TestFactorization:
         assert c_big > c_small
         assert recovery_chain(first_derivative_coefficients(4)) == (4,)
         assert recovery_chain(second_derivative_coefficients(4)) == (10,)
+        for make in (first_derivative_coefficients, second_derivative_coefficients):
+            for order in (4, 6, 8):
+                assert all(type(c) is float for c in recovery_chain(make(order)))
 
 
 class TestApplyAndSolve:
     def test_constant_fixed_point(self):
         for c in (2.0, 4.0, 10.0):
             u = np.full(9, 1.0)
-            assert_allclose(apply_weighting(WeightOperator(c), u), u, rtol=0, atol=0)
+            assert_allclose(apply_weighting(c, u), u, rtol=0, atol=0)
 
     def test_unit_impulse(self):
         u = np.array([0.0, 1.0, 0.0, 0.0])
-        out = apply_weighting(WeightOperator(4.0), u)
+        out = apply_weighting(4.0, u)
         assert_allclose(out, [1 / 6, 2 / 3, 1 / 6, 0.0], rtol=0, atol=1e-16)
 
     def test_mean_preservation(self):
         rng = np.random.default_rng(11)
         u = rng.normal(size=33)
-        w = WeightOperator(4.0)
-        assert apply_weighting(w, u).sum() == pytest.approx(u.sum(), rel=1e-14)
-        assert solve_weighting(w, u).sum() == pytest.approx(u.sum(), rel=1e-13)
+        assert apply_weighting(4.0, u).sum() == pytest.approx(u.sum(), rel=1e-14)
+        assert solve_weighting(4.0, u).sum() == pytest.approx(u.sum(), rel=1e-13)
 
     def test_solve_roundtrip(self):
         rng = np.random.default_rng(5)
         for n in (4, 17, 100):
             for c in (3.0, 4.0, 10.0):
                 u = rng.normal(size=n)
-                w = WeightOperator(c)
-                back = solve_weighting(w, apply_weighting(w, u))
+                back = solve_weighting(c, apply_weighting(c, u))
                 assert np.abs(back - u).max() <= 1e-12
 
     def test_solve_constant(self):
-        w = WeightOperator(10.0)
-        assert_allclose(solve_weighting(w, np.full(6, 3.5)), np.full(6, 3.5), rtol=1e-13)
+        assert_allclose(solve_weighting(10.0, np.full(6, 3.5)), np.full(6, 3.5), rtol=1e-13)
 
     def test_solve_inverse_example(self):
-        out = solve_weighting(WeightOperator(4.0), np.array([1 / 6, 2 / 3, 1 / 6, 0.0]))
+        out = solve_weighting(4.0, np.array([1 / 6, 2 / 3, 1 / 6, 0.0]))
         assert_allclose(out, [0.0, 1.0, 0.0, 0.0], atol=1e-14)
 
     def test_residual_contract(self):
         rng = np.random.default_rng(6)
         for n in (8, 57, 256):
             rhs = rng.normal(size=n)
-            w = WeightOperator(4.0)
-            x = solve_weighting(w, rhs)
-            res = np.abs(apply_weighting(w, x) - rhs).max()
+            x = solve_weighting(4.0, rhs)
+            res = np.abs(apply_weighting(4.0, x) - rhs).max()
             assert res <= 1e-12 * np.abs(rhs).max()
 
     def test_solve_2d_axis_matches_columns(self):
         rng = np.random.default_rng(8)
         Q = rng.normal(size=(12, 5))
-        w = WeightOperator(10.0)
-        X = solve_weighting(w, Q, axis=0)
+        X = solve_weighting(10.0, Q, axis=0)
         for j in range(5):
-            assert_allclose(X[:, j], solve_weighting(w, Q[:, j]), rtol=1e-14)
-        Y = solve_weighting(w, Q.T, axis=1)
+            assert_allclose(X[:, j], solve_weighting(10.0, Q[:, j]), rtol=1e-14)
+        Y = solve_weighting(10.0, Q.T, axis=1)
         assert_allclose(Y.T, X, rtol=1e-14)
+
+    @pytest.mark.parametrize("weighting", [apply_weighting, solve_weighting])
+    def test_c_below_two_is_refused(self, weighting):
+        with pytest.raises(CoefficientDomainError, match="requires c >= 2, got 1.9"):
+            weighting(1.9, np.ones(8))
+
+    @pytest.mark.parametrize("weighting", [apply_weighting, solve_weighting])
+    @pytest.mark.parametrize("shape, axis", [((2,), 0), ((2, 5), 0), ((5, 2), 1)])
+    def test_two_point_periodic_line_is_refused(self, weighting, shape, axis):
+        with pytest.raises(ValueError, match="at least 3 points"):
+            weighting(4.0, np.ones(shape), axis=axis)
 
     def test_singular_endpoint_raises(self):
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            solve_weighting(WeightOperator(2.0), np.zeros(8))
+            solve_weighting(2.0, np.zeros(8))
 
     def test_commutation(self):
         rng = np.random.default_rng(9)
         u = rng.normal(size=23)
-        w4, w10 = WeightOperator(4.0), WeightOperator(10.0)
-        ab = apply_weighting(w4, apply_weighting(w10, u))
-        ba = apply_weighting(w10, apply_weighting(w4, u))
+        ab = apply_weighting(4.0, apply_weighting(10.0, u))
+        ba = apply_weighting(10.0, apply_weighting(4.0, u))
         assert np.abs(ab - ba).max() <= 1e-13
 
     def test_chain_apply(self):
         rng = np.random.default_rng(10)
         u = rng.normal(size=16)
         out = apply_levels(((10.0, 0), (4.0, 0)), u)
-        ref = apply_weighting(WeightOperator(4.0), apply_weighting(WeightOperator(10.0), u))
+        ref = apply_weighting(4.0, apply_weighting(10.0, u))
         assert np.array_equal(out, ref)
         # levels along the second axis of a 2D field, in the given order
         v = rng.normal(size=(5, 7))
         out = apply_levels(((4.0, 1), (10.0, 0)), v)
-        ref = apply_weighting(WeightOperator(10.0),
-                              apply_weighting(WeightOperator(4.0), v, axis=1), axis=0)
+        ref = apply_weighting(10.0,
+                              apply_weighting(4.0, v, axis=1), axis=0)
         assert np.array_equal(out, ref)
 
 
@@ -392,14 +400,13 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("c", [2.0, 4.0, 10.0, 12.3])
     def test_weighting_matches_roll(self, c):
         rng = np.random.default_rng(21)
-        w = WeightOperator(c)
         for n in (3, 4, 7, 320):
             u = awkward(rng, n)
-            assert bits_equal(apply_weighting(w, u), roll_weighting(c, u))
+            assert bits_equal(apply_weighting(c, u), roll_weighting(c, u))
         U = awkward(rng, (9, 6))
         for axis in (0, 1):
-            assert bits_equal(apply_weighting(w, U, axis=axis), roll_weighting(c, U, axis))
-            assert bits_equal(apply_weighting(w, U.T, axis=axis), roll_weighting(c, U.T, axis))
+            assert bits_equal(apply_weighting(c, U, axis=axis), roll_weighting(c, U, axis))
+            assert bits_equal(apply_weighting(c, U.T, axis=axis), roll_weighting(c, U.T, axis))
 
     @pytest.mark.parametrize("stencil", STENCILS,
                              ids=lambda s: f"d{s.derivative_order}-hw{s.half_width}")
@@ -423,10 +430,9 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("n", [3, 4, 7, 320])
     def test_cyclic_solve_matches_banded(self, c, n):
         rng = np.random.default_rng(n)
-        w = WeightOperator(c)
         for _ in range(20):
             rhs = awkward(rng, n)
-            assert bits_equal(solve_weighting(w, rhs), banded_cyclic_solve(c, rhs))
+            assert bits_equal(solve_weighting(c, rhs), banded_cyclic_solve(c, rhs))
 
     @pytest.mark.parametrize("c", [4.0, 10.0] + FACTOR_CS)
     @pytest.mark.parametrize("n", [3, 4, 7, 64, 320])
@@ -434,27 +440,25 @@ class TestKernelEquivalence:
         # many lines are one product by the cached inverse: round-off
         # differs from the LU sweep, within a few ulps of each line's scale
         rng = np.random.default_rng(n)
-        w = WeightOperator(c)
         R = awkward(rng, (n, 5))
         for axis, arr in ((0, R), (0, np.asfortranarray(R)),
                           (1, R.T), (1, np.ascontiguousarray(R.T))):
-            got = solve_weighting(w, arr, axis=axis)
+            got = solve_weighting(c, arr, axis=axis)
             want = banded_cyclic_solve(c, arr, axis)
             assert got.shape == arr.shape
             # memory layout of the LU form: C order along axis 0, F along 1
             assert got.strides == want.strides
             scale = np.abs(arr).max(axis=axis, keepdims=True)
             assert (np.abs(got - want) <= 64 * np.finfo(float).eps * scale).all()
-            res = np.abs(apply_weighting(w, got, axis=axis) - arr).max()
+            res = np.abs(apply_weighting(c, got, axis=axis) - arr).max()
             assert res <= 1e-12 * np.abs(arr).max()
 
     @pytest.mark.parametrize("c", [4.0, 10.0])
     def test_axis1_solve_is_transposed_axis0_solve(self, c):
         rng = np.random.default_rng(25)
-        w = WeightOperator(c)
         for R in (awkward(rng, (16, 9)), np.asfortranarray(awkward(rng, (16, 9)))):
-            assert np.array_equal(solve_weighting(w, R, axis=1).view(np.int64),
-                                  solve_weighting(w, R.T, axis=0).T.view(np.int64))
+            assert np.array_equal(solve_weighting(c, R, axis=1).view(np.int64),
+                                  solve_weighting(c, R.T, axis=0).T.view(np.int64))
 
     @pytest.mark.parametrize("c", [4.0, 10.0, 12.3])
     @pytest.mark.parametrize("edge_rows", [False, True])
@@ -493,7 +497,7 @@ class TestSolveNonFinite:
         rhs = np.ones(10)
         rhs[6] = bad
         with pytest.raises(ValueError, match=r"non-finite value .* at index 6$"):
-            solve_weighting(WeightOperator(4.0), rhs)
+            solve_weighting(4.0, rhs)
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_cyclic_2d_index_in_caller_layout(self, axis):
@@ -501,7 +505,7 @@ class TestSolveNonFinite:
         rhs[4, 2] = np.nan
         rhs[5, 1] = np.inf
         with pytest.raises(ValueError, match=r"at index \(4, 2\)"):
-            solve_weighting(WeightOperator(10.0), rhs, axis=axis)
+            solve_weighting(10.0, rhs, axis=axis)
 
     def test_cyclic_many_lines_names_index(self):
         # the check runs before the product, which would spread the NaN
@@ -509,7 +513,7 @@ class TestSolveNonFinite:
         rhs[40, 3] = np.nan
         for axis in (0, 1):
             with pytest.raises(ValueError, match=r"non-finite value nan at index \(40, 3\)$"):
-                solve_weighting(WeightOperator(10.0), rhs, axis=axis)
+                solve_weighting(10.0, rhs, axis=axis)
 
     @pytest.mark.parametrize("edge_rows", [False, True])
     def test_open_names_index(self, edge_rows):

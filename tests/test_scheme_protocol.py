@@ -1,10 +1,10 @@
 """Every scheme class speaks one protocol.
 
-``euler_step(u, dt, t)`` is one forward-Euler step of the integrator, the
-scheme and the integrator refuse the same inadmissible ``dt``, every
-scheme's admissible step is its hand formula, and the methods the
-benchmark's tracer wraps by name are defined on each traced class itself,
-not only inherited from the shared base.
+A scheme has no stepping method of its own: forward Euler is the ``fe``
+row of the integrator, which refuses an inadmissible ``dt`` however it
+is built.  Every scheme's admissible step is its hand formula, and the
+methods the benchmark's tracer wraps by name are defined on each traced
+class itself, not only inherited from the shared base.
 """
 
 from fractions import Fraction as F
@@ -16,9 +16,9 @@ from compactbp.boundary import DirichletConvDiffScheme, InflowOutflowScheme
 from compactbp.harness import RunConfig, build_scheme
 from compactbp.limiters import Bounds
 from compactbp.problems import builtin
-from compactbp.schemes1d import CflError, PeriodicScheme1D, Problem1D, StepContext
+from compactbp.schemes1d import PeriodicScheme1D, Problem1D, StepContext
 from compactbp.schemes2d import PeriodicScheme2D, Problem2D, StepContext2D
-from compactbp.timeint import SspIntegrator
+from compactbp.timeint import CflError, SspIntegrator, schedule_run
 
 SCHEMES = [
     ("linadv-sin4-half", 8, PeriodicScheme1D),
@@ -37,25 +37,16 @@ def _built(problem, order):
 
 
 @pytest.mark.parametrize("problem, order, cls", SCHEMES)
-def test_euler_step_is_one_integrator_step(problem, order, cls):
-    scheme, dt = _built(problem, order)
-    assert type(scheme) is cls
-    u0, t0 = scheme.initial_state()
-    for t in (t0, t0 + 3 * dt):
-        u_step, _, _ = scheme.euler_step(u0, dt, t)
-        u_integ = SspIntegrator(scheme, "fe", dt).start(u0, t).advance()
-        assert np.array_equal(u_step.view(np.int64), u_integ.view(np.int64))
-
-
-@pytest.mark.parametrize("problem, order, cls", SCHEMES)
 def test_inadmissible_dt_is_refused_by_both(problem, order, cls):
+    # both ways to build an integrator: directly, and scheduled for a run
+    # from a forward-Euler step beyond the admissible one
     scheme, _ = _built(problem, order)
-    u0, _ = scheme.initial_state()
+    assert type(scheme) is cls
     dt = scheme.admissible_dt_fe() * (1.0 + 1e-6)
     with pytest.raises(CflError):
-        scheme.euler_step(u0, dt)
-    with pytest.raises(CflError):
         SspIntegrator(scheme, "fe", dt)
+    with pytest.raises(CflError):
+        schedule_run(scheme, "fe", 100 * dt, dt_fe=dt)
 
 
 def test_rhs_means_takes_the_callers_means():
@@ -74,8 +65,8 @@ def test_rhs_means_takes_the_callers_means():
     calls = []
     weigh = scheme.means
     scheme.means = lambda u: calls.append(1) or weigh(u)
-    scheme.euler_step(u0, dt)
-    assert len(calls) == 1
+    SspIntegrator(scheme, "fe", dt).start(u0).advance()
+    assert len(calls) == 2  # the start entry; the new one, whose recovery moved points
     calls.clear()
     SspIntegrator(scheme, "rk4", dt).start(u0).advance()
     assert len(calls) == 6  # the start entry, four inner stages, the new entry

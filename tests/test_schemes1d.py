@@ -9,8 +9,9 @@ from numpy.testing import assert_allclose
 from compactbp.limiters import Bounds
 from compactbp.operators import (first_derivative_coefficients,
                                  second_derivative_coefficients)
-from compactbp.schemes1d import (CflError, PeriodicScheme1D, Problem1D,
-                                 StepContext, max_stable_dt)
+from compactbp.schemes1d import PeriodicScheme1D, Problem1D, StepContext, max_stable_dt
+from compactbp.timeint import CflError, SspIntegrator
+from dense_march import check_dense_march
 
 
 def admissible_dt(problem, dx, order=4):
@@ -38,7 +39,8 @@ class TestEulerConvection:
         scheme = PeriodicScheme1D(linear_advection(), StepContext.create(0.5, 4),
                                   bp_limit=False)
         u = np.full(8, 0.7)
-        u_new, q, rep = scheme.euler_step(u, 0.1)
+        u_new = SspIntegrator(scheme, "fe", 0.1).start(u).advance()
+        q = scheme.means(u) + 0.1 * scheme.rhs_means(u)
         assert_allclose(u_new, u, atol=1e-14)
         assert_allclose(q, u, atol=1e-14)
 
@@ -48,7 +50,7 @@ class TestEulerConvection:
         scheme = PeriodicScheme1D(linear_advection(), StepContext.create(1.0, 4),
                                   bp_limit=False)
         u = np.array([0.0, 1.0, 0.0, 0.0])
-        _, q, _ = scheme.euler_step(u, 1.0 / 3.0)
+        q = scheme.means(u) + (1.0 / 3.0) * scheme.rhs_means(u)
         assert_allclose(q, [0.0, 2 / 3, 1 / 3, 0.0], atol=1e-15)
         assert q.sum() == pytest.approx(u.sum(), abs=1e-14)
 
@@ -80,14 +82,14 @@ class TestEulerConvection:
     def test_cfl_error_carries_admissible_dt(self):
         scheme = PeriodicScheme1D(linear_advection(), StepContext.create(1.0, 4))
         with pytest.raises(CflError) as err:
-            scheme.euler_step(np.zeros(8), 0.4)
+            SspIntegrator(scheme, "fe", 0.4)
         assert err.value.admissible == pytest.approx(1 / 3, rel=1e-12)
 
     def test_non_finite_dt_names_the_step(self):
         # nan compares false with the admissible step, so it is checked apart
         scheme = PeriodicScheme1D(linear_advection(), StepContext.create(1.0, 4))
-        with pytest.raises(ValueError, match="dt must be finite, got nan"):
-            scheme.euler_step(np.zeros(8), np.nan)
+        with pytest.raises(ValueError, match="dt must be positive and finite, got nan"):
+            SspIntegrator(scheme, "fe", np.nan)
 
 
 class TestEulerConvDiff:
@@ -106,13 +108,14 @@ class TestEulerConvDiff:
         x = 2 * np.pi * np.arange(1, n + 1) / n
         u = np.sin(x)
         ctx, dt = StepContext.create(2 * np.pi / n, 4), 1e-3
-        _, q_cd, _ = PeriodicScheme1D(prob0, ctx, bp_limit=False).euler_step(u, dt)
+        scheme_cd = PeriodicScheme1D(prob0, ctx, bp_limit=False)
+        q_cd = scheme_cd.means(u) + dt * scheme_cd.rhs_means(u)
         conv = linear_advection(-1.0, 1.0)
         scheme = PeriodicScheme1D(conv, ctx, bp_limit=False)
         q_conv = scheme.means(u) + dt * scheme.rhs_means(u)
         # convdiff means carry the extra c=10 weighting level
-        from compactbp.operators import WeightOperator, apply_weighting
-        assert_allclose(q_cd, apply_weighting(WeightOperator(10.0), q_conv), atol=1e-14)
+        from compactbp.operators import apply_weighting
+        assert_allclose(q_cd, apply_weighting(10.0, q_conv), atol=1e-14)
         # and the admissible dt halves when both terms are active
         full = admissible_dt(self._problem(), 0.1)
         pure = admissible_dt(conv, 0.1)
@@ -123,7 +126,7 @@ class TestEulerConvDiff:
                          initial=lambda x: 0 * x, diffusion=lambda u: u, max_aprime=1.0)
         scheme = PeriodicScheme1D(prob, StepContext.create(0.1, 4), bp_limit=False)
         u = np.full(12, 0.5)
-        u_new, q, _ = scheme.euler_step(u, 1e-3)
+        u_new = SspIntegrator(scheme, "fe", 1e-3).start(u).advance()
         assert_allclose(u_new, u, atol=1e-14)
 
     def test_dense_matrix_oracle(self):
@@ -134,7 +137,8 @@ class TestEulerConvDiff:
         dt = admissible_dt(prob, dx)
         scheme = PeriodicScheme1D(prob, StepContext.create(dx, 4), bp_limit=False)
         u0 = np.sin(x)
-        u1, q1, _ = scheme.euler_step(u0, dt)
+        u1 = SspIntegrator(scheme, "fe", dt).start(u0).advance()
+        q1 = scheme.means(u0) + dt * scheme.rhs_means(u0)
         W1 = circulant([1 / 6, 4 / 6, 1 / 6], n, [-1, 0, 1])
         W2 = circulant([1 / 12, 10 / 12, 1 / 12], n, [-1, 0, 1])
         Dx = circulant([-0.5, 0, 0.5], n, [-1, 0, 1])
@@ -144,6 +148,9 @@ class TestEulerConvDiff:
                  + mu * np.linalg.solve(W2, Dxx @ (0.001 * u0)))
         assert np.abs(u1 - dense).max() <= 1e-14
         assert np.abs(q1 - W2 @ (W1 @ dense)).max() <= 1e-13
+        L = (-np.linalg.solve(W1, Dx) / dx
+             + np.linalg.solve(W2, Dxx) * (0.001 / dx ** 2))
+        check_dense_march(scheme, lambda u: L @ u, u0)
 
     def test_dense_matrix_oracle_order8(self):
         # two weighting levels per family: the convection term is wrapped in
@@ -156,7 +163,8 @@ class TestEulerConvDiff:
         scheme = PeriodicScheme1D(prob, StepContext.create(dx, 8), bp_limit=False)
         dt = scheme.admissible_dt_fe()
         u0 = np.sin(x) + 0.3 * np.cos(3 * x)
-        u1, q1, _ = scheme.euler_step(u0, dt)
+        u1 = SspIntegrator(scheme, "fe", dt).start(u0).advance()
+        q1 = scheme.means(u0) + dt * scheme.rhs_means(u0)
         cs1, cs2 = first_derivative_coefficients(8), second_derivative_coefficients(8)
         offsets = [-2, -1, 0, 1, 2]
         W1 = circulant(np.array([cs1.beta, cs1.alpha, 1, cs1.alpha, cs1.beta]) / cs1.scale,
@@ -174,6 +182,8 @@ class TestEulerConvDiff:
         assert len(scheme.levels) == 4
         assert np.abs(u1 - dense).max() <= 1e-13
         assert np.abs(q1 - W2 @ (W1 @ dense)).max() <= 1e-13
+        L = -np.linalg.solve(W1, D1) / dx + np.linalg.solve(W2, D2) * (d / dx ** 2)
+        check_dense_march(scheme, lambda u: L @ u, u0)
 
     def test_convex_combination_identity(self):
         # the mean update equals the half/half split of a double-step
@@ -185,7 +195,7 @@ class TestEulerConvDiff:
         dt = 1e-4
         scheme = PeriodicScheme1D(prob, StepContext.create(dx, 4), bp_limit=False)
         u0 = 0.3 + 0.5 * np.sin(x) ** 2
-        _, q, _ = scheme.euler_step(u0, dt)
+        q = scheme.means(u0) + dt * scheme.rhs_means(u0)
         W1 = circulant([1 / 6, 4 / 6, 1 / 6], n, [-1, 0, 1])
         W2 = circulant([1 / 12, 10 / 12, 1 / 12], n, [-1, 0, 1])
         Dx = circulant([-0.5, 0, 0.5], n, [-1, 0, 1])
@@ -203,8 +213,10 @@ class TestEulerConvDiff:
         dt = admissible_dt(prob, dx)
         scheme = PeriodicScheme1D(prob, StepContext.create(dx, 4), bp_limit=True)
         u = np.sin(x)
+        integ = SspIntegrator(scheme, "fe", dt).start(u)
         for _ in range(20):
-            u, q, _ = scheme.euler_step(u, dt)
+            q = scheme.means(u) + dt * scheme.rhs_means(u)
+            u = integ.advance()
             assert q.sum() == pytest.approx(np.sin(x).sum(), abs=1e-12 * n)
 
 

@@ -5,11 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from compactbp.limiters import Bounds
-from compactbp.operators import WeightOperator, apply_weighting
+from compactbp.operators import apply_weighting
 from compactbp.problems import builtin
-from compactbp.schemes1d import CflError, PeriodicScheme1D, Problem1D, StepContext
+from compactbp.schemes1d import PeriodicScheme1D, Problem1D, StepContext
 from compactbp.schemes2d import (PeriodicScheme2D, Problem2D, StepContext2D,
                                  _dx_central, _dxx_central)
+from compactbp.timeint import CflError, SspIntegrator
+from dense_march import check_dense_march
 
 
 def admissible_dt(problem, dx):
@@ -38,7 +40,8 @@ class TestConvection2D:
         prob = self._problem()
         scheme = PeriodicScheme2D(prob, StepContext2D(0.3, 0.3), bp_limit=False)
         u = np.full((8, 8), 0.75)
-        u_new, q, _ = scheme.euler_step(u, 1e-3)
+        u_new = SspIntegrator(scheme, "fe", 1e-3).start(u).advance()
+        q = scheme.means(u) + 1e-3 * scheme.rhs_means(u)
         assert_allclose(u_new, u, atol=1e-14)
         assert_allclose(q, u, atol=1e-14)
 
@@ -54,7 +57,7 @@ class TestConvection2D:
         u0 = 1 + np.sin(xx)
         dt = 1e-3
         scheme2d = PeriodicScheme2D(prob2d, StepContext2D(dx, dx), bp_limit=False)
-        u2, q2, _ = scheme2d.euler_step(u0, dt)
+        u2 = SspIntegrator(scheme2d, "fe", dt).start(u0).advance()
         prob1d = Problem1D(name="1d", x_lo=0, x_hi=2 * np.pi, bounds=Bounds(0.0, 2.0),
                            initial=lambda x: 1 + np.sin(x),
                            flux=lambda u: u, max_fprime=1.0)
@@ -84,8 +87,7 @@ class TestConvection2D:
         dx = 0.1
         dt = 1.1 * admissible_dt(prob, dx)
         with pytest.raises(CflError):
-            PeriodicScheme2D(prob, StepContext2D(dx, dx)).euler_step(
-                np.full((8, 8), 0.6), dt)
+            SspIntegrator(PeriodicScheme2D(prob, StepContext2D(dx, dx)), "fe", dt)
 
 
 class TestConvDiff2D:
@@ -93,7 +95,7 @@ class TestConvDiff2D:
         prob = builtin("2d-pme-m3")
         scheme = PeriodicScheme2D(prob, StepContext2D(0.25, 0.25), bp_limit=False)
         u = np.full((10, 10), 0.5)
-        u_new, q, _ = scheme.euler_step(u, 1e-4)
+        u_new = SspIntegrator(scheme, "fe", 1e-4).start(u).advance()
         assert_allclose(u_new, u, atol=1e-13)
 
     def test_dense_operator_oracle(self):
@@ -103,7 +105,8 @@ class TestConvDiff2D:
         u0 = np.sin(xx) * np.sin(yy)
         dt = 1e-4
         scheme = PeriodicScheme2D(prob, StepContext2D(dx, dx), bp_limit=False)
-        u1, q1, _ = scheme.euler_step(u0, dt)
+        u1 = SspIntegrator(scheme, "fe", dt).start(u0).advance()
+        q1 = scheme.means(u0) + dt * scheme.rhs_means(u0)
         W1 = circulant([1 / 6, 4 / 6, 1 / 6], n, [-1, 0, 1])
         W2 = circulant([1 / 12, 10 / 12, 1 / 12], n, [-1, 0, 1])
         Dx = circulant([-0.5, 0, 0.5], n, [-1, 0, 1])
@@ -122,6 +125,10 @@ class TestConvDiff2D:
         q_dense = W2 @ q_dense
         q_dense = (W2 @ q_dense.T).T
         assert np.abs(q1 - q_dense).max() <= 1e-13
+        # each direction's operator acts on axis 0 from the left, axis 1 from the right
+        A1 = -np.linalg.solve(W1, Dx) * (c / dx)
+        A2 = np.linalg.solve(W2, Dxx) * (d / dx ** 2)
+        check_dense_march(scheme, lambda u: A1 @ u + u @ A1.T + A2 @ u + u @ A2.T, u0)
 
     def test_transpose_symmetry(self):
         prob = builtin("2d-convdiff")
@@ -129,8 +136,8 @@ class TestConvDiff2D:
         (xx, yy), dx = grid(n)
         u0 = np.sin(xx) * np.cos(yy) * 0.5
         scheme = PeriodicScheme2D(prob, StepContext2D(dx, dx), bp_limit=False)
-        u1, _, _ = scheme.euler_step(u0, 1e-4)
-        u1t, _, _ = scheme.euler_step(u0.T.copy(), 1e-4)
+        u1 = SspIntegrator(scheme, "fe", 1e-4).start(u0).advance()
+        u1t = SspIntegrator(scheme, "fe", 1e-4).start(u0.T.copy()).advance()
         assert np.abs(u1t - u1.T).max() <= 1e-13
 
 
@@ -138,9 +145,8 @@ class TestStructure:
     def test_weighting_commutation_2d(self):
         rng = np.random.default_rng(33)
         u = rng.normal(size=(9, 7))
-        w4, w10 = WeightOperator(4.0), WeightOperator(10.0)
-        left_then_right = apply_weighting(w10, apply_weighting(w4, u, axis=0), axis=1)
-        right_then_left = apply_weighting(w4, apply_weighting(w10, u, axis=1), axis=0)
+        left_then_right = apply_weighting(10.0, apply_weighting(4.0, u, axis=0), axis=1)
+        right_then_left = apply_weighting(4.0, apply_weighting(10.0, u, axis=1), axis=0)
         assert np.abs(left_then_right - right_then_left).max() <= 1e-14
 
     def test_conservation_and_sweep_order(self):
@@ -154,7 +160,8 @@ class TestStructure:
         # the problem is symmetric in x and y, so stepping the transposed
         # state sweeps the original y axis first
         for start in (u0, u0.T):
-            u, q, rep = scheme.euler_step(start, dt)
+            q = scheme.means(start) + dt * scheme.rhs_means(start)
+            u = SspIntegrator(scheme, "fe", dt).start(start).advance()
             assert q.sum() == pytest.approx(scheme.means(start).sum(), abs=1e-11)
             assert u.sum() == pytest.approx(q.sum(), abs=1e-11)
             assert u.min() >= 0.5 - 1e-13

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from compactbp.limiters import LimiterReport
-from compactbp.schemes1d import CflError, PeriodicScheme1D, StepContext
+from compactbp.schemes1d import PeriodicScheme1D, StepContext
 from compactbp.problems import builtin
-from compactbp.timeint import METHODS, SspIntegrator, _combination, schedule_run
+from compactbp.timeint import METHODS, CflError, SspIntegrator, _combination, schedule_run
 
 #: the order of accuracy each METHODS row must reach
 ORDERS = {"fe": 1, "rk4": 4, "ms4": 4}
@@ -248,6 +248,23 @@ class TestDriver:
         scheme, _ = self._scheme()
         with pytest.raises(ValueError, match=f"dt must be positive and finite, got {bad}"):
             SspIntegrator(scheme, "ms4", bad)
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, 2.0, "2", None])
+    def test_bad_steps_names_steps(self, bad):
+        scheme, dt = self._scheme()
+        with pytest.raises(ValueError, match=f"steps must be a positive integer, got steps = {bad!r}"):
+            SspIntegrator(scheme, "fe", 3 * dt, steps=bad)
+
+    def test_integer_steps_of_any_type(self):
+        scheme, dt = self._scheme()
+        integ = SspIntegrator(scheme, "ms4", 3 * dt, steps=np.int64(3))
+        assert (integ.steps, integ.dt) == (3, 3 * dt / 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-3])
+    def test_bad_dt_fe_names_dt_fe(self, bad):
+        scheme, _ = self._scheme()
+        with pytest.raises(ValueError, match=f"dt_fe must be positive, got dt_fe = {bad}"):
+            schedule_run(scheme, "ms4", 1.0, dt_fe=bad)
 
     def test_unstarted_integrator(self):
         scheme, dt = self._scheme()
