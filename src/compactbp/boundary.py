@@ -224,6 +224,4 @@ class DirichletConvDiffScheme(Scheme):
         if self.bp_limit:
             v, report = limit_bounds_segment(v, bounds, 10.0, edge_rows=True, means=w)
         state, rep = _recover_interior(self, v, u_left, u_right)
-        if self.bp_limit:
-            report = report.merge(rep)
-        return state, report
+        return state, report.merge(rep)

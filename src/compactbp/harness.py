@@ -123,7 +123,8 @@ def build_scheme(config: RunConfig, n: int):
             _, diff_rate = scheme.cfl_rates()
             dt_fe = max_stable_dt((problem.max_fprime / scheme.ctx.dx ** 2, diff_rate),
                                   scheme.cfl)
-        integ = schedule_run(scheme, config.integrator, _final_time(config, problem), dt_fe)
+        T = config.T if config.T is not None else problem.default_T
+        integ = schedule_run(scheme, config.integrator, T, dt_fe)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return problem, scheme, integ
@@ -147,16 +148,6 @@ def _scheme(problem, config: RunConfig, n: int):
     return DirichletConvDiffScheme(problem, ctx, n=n, bp_limit=config.bp_limiter)
 
 
-def _final_time(config, problem):
-    return config.T if config.T is not None else problem.default_T
-
-
-def _cell_volume(problem, scheme):
-    if isinstance(problem, Problem2D):
-        return scheme.ctx.dx * scheme.ctx.dy
-    return scheme.ctx.dx
-
-
 def run_level(config: RunConfig, n: int):
     """Solve one grid level; returns a result dict."""
     problem, scheme, integ = build_scheme(config, n)
@@ -167,7 +158,8 @@ def run_level(config: RunConfig, n: int):
         integ.advance()
     state = integ.state
     wall = time.perf_counter() - t_start
-    vol = _cell_volume(problem, scheme)
+    dy = scheme.ctx.dy if isinstance(problem, Problem2D) else None
+    vol = scheme.ctx.dx if dy is None else scheme.ctx.dx * dy
     conservation = abs(float(state.sum()) - float(u0.sum())) * vol
     exact = scheme.exact_state(integ.time)
     result = {
@@ -185,7 +177,6 @@ def run_level(config: RunConfig, n: int):
         "report": integ.report,
     }
     if exact is not None:
-        dy = scheme.ctx.dy if isinstance(problem, Problem2D) else None
         l1, linf = error_norms(state, exact, scheme.ctx.dx, dy)
         result["l1"], result["linf"] = l1 / _domain_measure(problem), linf
     return result

@@ -21,7 +21,9 @@ points beyond a line's ends wrap differs.  Every entry point runs on one
 batched core that limits all lines of an array along one axis at once,
 so a 2D cascade level is a single call, and one classifier,
 ``classify_sets``, finds the sawtooth sets of either kind of line.
-All functions are pure: they never mutate their inputs and hold no state.
+A c-value below 2 raises the weightings' ``CoefficientDomainError``
+(``operators.check_c``).  All functions are pure: they never mutate
+their inputs and hold no state.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import apply_weighting, solve_weighting
+from .operators import apply_weighting, check_c, solve_weighting
 
 _TINY = 1e-14
 
@@ -74,15 +76,19 @@ class Bounds:
 
 @dataclass
 class LimiterReport:
-    """Diagnostics of one limiter application."""
+    """Diagnostics of one limiter application; ``rebalance_used`` is derived."""
 
     modified_count: int = 0
     max_displacement: float = 0.0
     conservation_residual: float = 0.0
     sawtooth_count: int = 0
-    rebalance_used: bool = False
     whole_circle_fallback: bool = False
     boundary_exchange: float = 0.0
+
+    @property
+    def rebalance_used(self) -> bool:
+        """Whether a sawtooth set was clamped and rebalanced."""
+        return self.sawtooth_count > 0
 
     def merge(self, other: "LimiterReport") -> "LimiterReport":
         return LimiterReport(
@@ -90,7 +96,6 @@ class LimiterReport:
             max(self.max_displacement, other.max_displacement),
             self.conservation_residual + other.conservation_residual,
             self.sawtooth_count + other.sawtooth_count,
-            self.rebalance_used or other.rebalance_used,
             self.whole_circle_fallback or other.whole_circle_fallback,
             self.boundary_exchange + other.boundary_exchange,
         )
@@ -289,8 +294,7 @@ def _limit(u, bounds, c, axis, ends, means=None):
     by set, in index order, because sets sharing an end point interact.
     """
     u = np.asarray(u, dtype=float)
-    if c < 2.0:
-        raise ValueError(f"limiter requires c >= 2, got {c}")
+    check_c(c)
     lo, hi = bounds.span
     tol = bounds.tol
     lines = u.swapaxes(0, axis)
@@ -355,7 +359,6 @@ def _limit(u, bounds, c, axis, ends, means=None):
     for k, idx in sets:
         _rebalance_set(U[:, k], V[:, k], idx, lo, hi, tol)
     report.sawtooth_count = len(sets)
-    report.rebalance_used = bool(sets)
 
     # clip round-off residue onto the bounds; transfers toward one bound
     # only move points toward it, so only a rebalance can pass the other
@@ -421,6 +424,12 @@ def limit_bounds_segment(u: np.ndarray, bounds: Bounds, c: float, *,
     ``limit_bounds``.  A segment has at least one point, and at least two
     with ``edge_rows`` (each end row reads its neighbour); a shorter one
     raises ``ValueError``.
+
+    With fixed end values, a sawtooth run reaching a segment end has no
+    in-range member there, and when its sum exceeds what its members can
+    hold ``RedistributionError`` is raised (c = 2.5, ends 0, means
+    ``(-1, 0, -1)`` in ``[-1, 0]``).  The open schemes limit such segments
+    at c = 4 only, where a bounded search found no refused data.
     """
     u = np.asarray(u, dtype=float)
     need = 2 if edge_rows else 1
@@ -457,14 +466,14 @@ def recover_point_values(means: np.ndarray, levels, bounds: Bounds,
     are only solved.
     """
     x = np.asarray(means, dtype=float)
-    report = None
+    report = LimiterReport()
     for c, axis in levels:
         rhs = x
         x = solve_weighting(c, rhs, axis=axis)
         if limiting:
             x, rep = limit_bounds(x, bounds, c, axis=axis, means=rhs)
-            report = rep if report is None else report.merge(rep)
-    return x, LimiterReport() if report is None else report
+            report = report.merge(rep)
+    return x, report
 
 
 # ---------------------------------------------------------------------------

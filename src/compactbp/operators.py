@@ -153,14 +153,16 @@ def second_derivative_coefficients(accuracy_order: int,
 # Weighting operators
 # ---------------------------------------------------------------------------
 
-def _check_weighting(c: float, u: np.ndarray, axis: int) -> None:
-    """Refuse a c-value below 2 and a periodic line shorter than 3 points.
-
-    ``c >= 2`` guarantees strict diagonal dominance, so the circulant
-    inverse exists and is computed by non-pivoting elimination.
-    """
+def check_c(c: float) -> None:
+    """Refuse ``c < 2``: the weightings need ``c >= 2`` for strict diagonal
+    dominance (non-pivoting elimination), the limiter its three-point repair."""
     if c < 2.0:
         raise CoefficientDomainError(f"weighting requires c >= 2, got {c}")
+
+
+def _check_weighting(c: float, u: np.ndarray, axis: int) -> None:
+    """Refuse a c-value below 2 and a periodic line shorter than 3 points."""
+    check_c(c)
     if u.shape[axis] < 3:
         raise ValueError("periodic weighting needs at least 3 points")
 

@@ -17,7 +17,7 @@ forward-Euler steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -37,8 +37,19 @@ def check_grid_size(problem, n: int | None, minimum: int, what: str = "N") -> No
                          f"got {what} = {n}")
 
 
-def _zero_flux(u):
-    return np.zeros_like(u)
+def check_derivative_bounds(problem) -> None:
+    """Refuse a non-finite ``max_*``/``min_*`` bound or a negative ``max_*``.
+
+    A bad bound would lift the CFL step limit, or pass the f' >= 0 check
+    of an inflow boundary, silently.  A bound left as None is not set.
+    """
+    for f in fields(problem):
+        kind, value = f.name[:4], getattr(problem, f.name)
+        if kind in ("max_", "min_") and value is not None and not (
+                math.isfinite(value) and (kind == "min_" or value >= 0)):
+            rule = "finite" if kind == "min_" else "finite and nonnegative"
+            raise ValueError(f"{problem.name}: derivative bound {f.name} must be {rule}, "
+                             f"got {f.name} = {value}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +80,7 @@ class Problem1D:
     default_T: float = 1.0
 
     def __post_init__(self):
-        if self.max_fprime < 0 or self.max_aprime < 0:
-            raise ValueError("derivative bounds must be nonnegative")
+        check_derivative_bounds(self)
 
     @property
     def length(self) -> float:
@@ -90,9 +100,12 @@ class StepContext:
     """Grid spacing and the active coefficient sets; the integrator owns ``dt``."""
 
     dx: float
-    accuracy_order: int
     cs1: ops.CoefficientSet
     cs2: ops.CoefficientSet
+
+    @property
+    def accuracy_order(self) -> int:
+        return self.cs1.accuracy_order
 
     @classmethod
     def create(cls, dx: float, accuracy_order: int = 4,
@@ -101,7 +114,7 @@ class StepContext:
             raise ValueError("dx must be positive")
         cs1 = ops.first_derivative_coefficients(accuracy_order, alpha1)
         cs2 = ops.second_derivative_coefficients(accuracy_order, alpha2)
-        return cls(dx, accuracy_order, cs1, cs2)
+        return cls(dx, cs1, cs2)
 
 
 def max_stable_dt(rates, cfl) -> float:

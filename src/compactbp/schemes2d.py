@@ -18,8 +18,8 @@ import numpy as np
 
 from . import operators as ops
 from .limiters import Bounds, LimiterReport, recover_point_values
-from .schemes1d import (CONVECTION, DIFFUSION, Scheme, check_grid_size,
-                        periodic_families, weighted_rhs)
+from .schemes1d import (CONVECTION, DIFFUSION, Scheme, check_derivative_bounds,
+                        check_grid_size, periodic_families, weighted_rhs)
 
 # the 2D schemes are 4th order
 _CS1 = ops.first_derivative_coefficients(4)
@@ -47,6 +47,9 @@ class Problem2D:
     max_bprime: float = 0.0
     exact: Callable | None = None
     default_T: float = 1.0
+
+    def __post_init__(self):
+        check_derivative_bounds(self)
 
     @property
     def has_convection(self) -> bool:

@@ -175,7 +175,6 @@ def limit_bounds(u: np.ndarray, bounds: Bounds, c: float) -> tuple[np.ndarray, L
         members = (start + np.arange(length)) % n
         _rebalance_set(u, v, members, lo, hi, tol)
     report.sawtooth_count = len(sets)
-    report.rebalance_used = bool(sets)
     report.whole_circle_fallback = whole_circle
     _finalize(u, v, report, lo=lo, hi=hi, tol=tol)
     return v, report
@@ -236,8 +235,7 @@ def limit_bounds_segment(u: np.ndarray, bounds: Bounds, c: float, *,
         for members in sets:
             _rebalance_set(u, v, members, lo, hi, tol)
         report.sawtooth_count = len(sets)
-        report.rebalance_used = bool(sets)
-    _finalize(u, v, report, lo=lo, hi=hi, tol=tol)
+        _finalize(u, v, report, lo=lo, hi=hi, tol=tol)
     return v, report
 
 
