@@ -79,19 +79,24 @@ def _check_bc_value(value, bounds, what):
     return min(max(float(value), bounds.lower), bounds.upper)
 
 
-def _recover_interior(scheme, means, u_left, u_right):
+def _recover_interior(scheme, means, u_left, u_right, checked=False):
     """Full state and limiter report from the c = 4 interior means.
 
     The end values move into the right-hand side of the solve; with them
     in place, ``(u_{i-1} + 4 u_i + u_{i+1})/6`` reproduces ``means``,
-    which the limiter checks when ``scheme.bp_limit`` is set.
+    which the limiter checks when ``scheme.bp_limit`` is set.  Means that
+    are ``checked`` (a limited level's output, so inside the bounds like
+    the end values) need no second check: the limiter then runs only when
+    the solution leaves the bounds, since on an in-range one it would
+    return a copy and an empty report.
     """
     rhs = means.copy()
     rhs[0] -= u_left / 6.0
     rhs[-1] -= u_right / 6.0
     interior = solve_open_weighting(4.0, rhs)
     report = LimiterReport()
-    if scheme.bp_limit:
+    lo, hi = scheme.bounds.span
+    if scheme.bp_limit and not (checked and lo <= interior.min() and interior.max() <= hi):
         interior, report = limit_bounds_segment(
             interior, scheme.bounds, 4.0, left=u_left, right=u_right, means=means)
     return np.concatenate(([u_left], interior, [u_right])), report
@@ -171,6 +176,9 @@ class DirichletConvDiffScheme(Scheme):
     values and the prescribed end data), solve the corner-modified
     tridiagonal, limit at c = 10, solve the interior (1,4,1)/6 system
     with the end data moved to the right-hand side, limit at c = 4.
+    The c = 10 limiter checks ``w``; its output, the c = 4 level's means,
+    is inside the bounds, so the c = 4 limiter runs only when the
+    interior solution leaves them (it would change nothing otherwise).
     """
 
     # weak-monotonicity constants of the one-sided end rows; they hold
@@ -223,5 +231,5 @@ class DirichletConvDiffScheme(Scheme):
         report = LimiterReport()
         if self.bp_limit:
             v, report = limit_bounds_segment(v, bounds, 10.0, edge_rows=True, means=w)
-        state, rep = _recover_interior(self, v, u_left, u_right)
-        return state, report.merge(rep)
+        state, rep = _recover_interior(self, v, u_left, u_right, checked=True)
+        return state, report.merge(rep) if rep.modified_count else report

@@ -462,16 +462,27 @@ def recover_point_values(means: np.ndarray, levels, bounds: Bounds,
     next-level weighted means of its solution, inside the bounds, so the
     three-point limiter applies at exactly that c, along that axis, and
     checks those means.  The lines of one level touch disjoint data and
-    are limited in one batched call.  With ``limiting`` false the levels
-    are only solved.
+    are limited in one batched call.
+
+    Only the first level's means need the check: every later level's
+    means are the previous level's output, which the limiter has kept or
+    pushed inside the bounds.  A later level therefore calls the limiter
+    only when its solution leaves ``[lower, upper]`` (a NaN fails the
+    test, so the limiter still refuses it); on an in-range solution the
+    limiter would return a copy of it and an empty report, so skipping
+    the call changes no bit.  With ``limiting`` false the levels are only
+    solved.
     """
     x = np.asarray(means, dtype=float)
+    lo, hi = bounds.span
     report = LimiterReport()
-    for c, axis in levels:
+    for level, (c, axis) in enumerate(levels):
         rhs = x
         x = solve_weighting(c, rhs, axis=axis)
-        if limiting:
-            x, rep = limit_bounds(x, bounds, c, axis=axis, means=rhs)
+        if not limiting or (level and lo <= x.min() and x.max() <= hi):
+            continue
+        x, rep = limit_bounds(x, bounds, c, axis=axis, means=rhs)
+        if rep.modified_count:
             report = report.merge(rep)
     return x, report
 

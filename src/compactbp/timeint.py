@@ -192,8 +192,10 @@ class SspIntegrator:
         unless the limiter moved a point."""
         q = _combination(row, self._rows[first:first + row.size // 2])
         u, rep = self.scheme.recover(q, t)
+        if not rep.modified_count:
+            return u, q
         self.report = self.report.merge(rep)
-        return u, self.scheme.means(u) if rep.modified_count else q
+        return u, self.scheme.means(u)
 
     def start(self, u0, t0=0.0):
         u0 = np.asarray(u0, dtype=float)

@@ -4,7 +4,10 @@ Each level of a recovery solves ``W x = rhs``; the right-hand side is the
 set of weighted means of ``x`` that weak monotonicity keeps inside the
 bounds, so ``recover`` hands it to the limiter instead of re-weighting
 ``x``.  A mean pushed out of the bounds must still fail, naming its index,
-and a multistep step must not weight anything twice.
+and a multistep step must not weight anything twice.  Only the first
+level's means are checked: a later level's means are the previous
+level's limited output, so it calls the limiter only when its solution
+leaves the bounds, with the same bits as limiting every level.
 
 The integrator relies on the same fact one level up: when a recovery
 moves no point, ``means(recover(q))`` is ``q`` up to round-off, so it
@@ -17,10 +20,10 @@ import sys
 import numpy as np
 import pytest
 
-from compactbp import operators
-from compactbp.boundary import DirichletConvDiffScheme, InflowOutflowScheme
+from compactbp import limiters, operators
+from compactbp.boundary import CORNER_WEIGHT, DirichletConvDiffScheme, InflowOutflowScheme
 from compactbp.harness import RunConfig, build_scheme
-from compactbp.limiters import WeakMonotonicityError
+from compactbp.limiters import LimiterReport, WeakMonotonicityError
 from compactbp.problems import builtin
 from compactbp.schemes1d import PeriodicScheme1D, StepContext
 from compactbp.schemes2d import PeriodicScheme2D, StepContext2D
@@ -101,13 +104,13 @@ def test_dirichlet(index, side):
 # Weightings and solves per multistep step
 # ---------------------------------------------------------------------------
 
-def _count_calls(monkeypatch, names):
-    """Count calls of ``operators`` functions in every namespace that binds them."""
+def _count_calls(monkeypatch, names, source=operators):
+    """Count calls of ``source`` functions in every namespace that binds them."""
     counts = dict.fromkeys(names, 0)
     modules = [m for k, m in sys.modules.items()
                if m is not None and (k == "compactbp" or k.startswith("compactbp."))]
     for name in names:
-        fn = getattr(operators, name)
+        fn = getattr(source, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             counts[_name] += 1
@@ -139,6 +142,122 @@ def test_weightings_per_multistep_step(monkeypatch, kwargs, applies, solves):
     for _ in range(steps):
         integ.advance()
     assert counts == {"apply_weighting": applies * steps, "solve_weighting": solves * steps}
+
+
+@pytest.mark.parametrize("kwargs, n, calls", [
+    # the first level checks the combination; the later level's solution
+    # stays in the bounds, so it calls no limiter
+    (dict(problem="linadv-sin4-half", order=8), 40, 1),
+    (dict(problem="dirichlet-convdiff"), 40, 1),
+    # one level, limited every step
+    (dict(problem="linadv-step", order=4, tvb=5.0), 40, 1),
+    # both levels move points every step
+    (dict(problem="2d-pme-m3"), 16, 2),
+], ids=["linadv-sin4-half-8", "dirichlet-convdiff", "linadv-step-tvb", "2d-pme-m3"])
+def test_limiter_calls_per_multistep_step(monkeypatch, kwargs, n, calls):
+    # each recovery checks its means once, at the first level; a later
+    # level calls the limiter only when its solution leaves the bounds.
+    # Every step calls it at least once, as the benchmark's trace needs.
+    config = RunConfig(n=n, T=0.5, bp_limiter=True, integrator="ms4", **kwargs)
+    _, scheme, integ = build_scheme(config, n)
+    integ.start(*scheme.initial_state())
+    window = max(METHODS["ms4"].tableau[0])
+    for _ in range(window - 1):
+        integ.advance()
+    counts = _count_calls(monkeypatch, ["limit_bounds", "limit_bounds_segment"], limiters)
+    moves = kwargs["problem"] in ("linadv-step", "2d-pme-m3")
+    for _ in range(3):
+        called, modified = sum(counts.values()), integ.report.modified_count
+        integ.advance()
+        assert sum(counts.values()) - called == calls
+        assert (integ.report.modified_count > modified) == moves
+
+
+# ---------------------------------------------------------------------------
+# One check of the means per recovery, bit for bit the limit-every-level cascade
+# ---------------------------------------------------------------------------
+
+def _cascade(q, levels, bounds):
+    """Recovery that limits after every level's solve; the state, the
+    merged report, and per later level whether its solution was in range."""
+    x = np.asarray(q, dtype=float)
+    report, in_range = LimiterReport(), []
+    lo, hi = bounds.span
+    for level, (c, axis) in enumerate(levels):
+        rhs = x
+        x = operators.solve_weighting(c, rhs, axis=axis)
+        if level:
+            in_range.append(bool(lo <= x.min() and x.max() <= hi))
+        x, rep = limiters.limit_bounds(x, bounds, c, axis=axis, means=rhs)
+        report = report.merge(rep)
+    return x, report, in_range
+
+
+def _dirichlet_cascade(scheme, q):
+    """The Dirichlet recovery with the limiter after both of its solves."""
+    bounds, kappa = scheme.bounds, CORNER_WEIGHT
+    u_left, u_right = scheme.problem.left_value(0.0), scheme.problem.right_value(0.0)
+    w = q.copy()
+    w[0] = kappa * w[0] + (1.0 - kappa) * u_left
+    w[-1] = kappa * w[-1] + (1.0 - kappa) * u_right
+    v = operators.solve_open_weighting(10.0, w, edge_rows=True)
+    v, report = limiters.limit_bounds_segment(v, bounds, 10.0, edge_rows=True, means=w)
+    rhs = v.copy()
+    rhs[0] -= u_left / 6.0
+    rhs[-1] -= u_right / 6.0
+    x = operators.solve_open_weighting(4.0, rhs)
+    in_range = [bool(bounds.lower <= x.min() and x.max() <= bounds.upper)]
+    x, rep = limiters.limit_bounds_segment(x, bounds, 4.0, left=u_left, right=u_right, means=v)
+    return np.concatenate(([u_left], x, [u_right])), report.merge(rep), in_range
+
+
+#: periodic 1D at orders 4, 6 and 8 (convdiff-lin has four levels from
+#: order 6 on), 2D, and Dirichlet (its c = 4 level follows the c = 10 one)
+CASCADE_CASES = [
+    dict(problem="convdiff-lin", order=4),
+    dict(problem="linadv-sin4", order=6),
+    dict(problem="convdiff-lin", order=6),
+    dict(problem="linadv-sin4-half", order=8),
+    dict(problem="convdiff-lin", order=8),
+    dict(problem="2d-linadv"),
+    dict(problem="2d-pme-m3"),
+    dict(problem="2d-convdiff"),
+    dict(problem="dirichlet-convdiff"),
+]
+
+
+@pytest.mark.parametrize("kwargs", CASCADE_CASES, ids=lambda kw: "-".join(map(str, kw.values())))
+def test_recover_matches_limit_every_level(kwargs):
+    # each q is a random convex combination of forward-Euler updates of
+    # one state at fractions of the admissible step, so admissible.  Small
+    # random perturbations of the middle of the bounds leave every later
+    # level in range; random states across the bounds, and the initial
+    # state (the porous medium's support edge), push some out
+    n = 12 if kwargs["problem"].startswith("2d") else 24
+    config = RunConfig(n=n, T=0.5, bp_limiter=True, **kwargs)
+    _, scheme, _ = build_scheme(config, n)
+    dt = scheme.admissible_dt_fe()
+    u0 = scheme.initial_state()[0]
+    lo, hi = scheme.bounds.span
+    rng = np.random.default_rng(2)
+    mid = np.full(u0.shape, (lo + hi) / 2)
+    branches = set()
+    for u in [u0, u0] + [mid + s * (hi - lo) * (rng.random(u0.shape) - 0.5)
+                         for s in (0.1, 0.1) + (1,) * 10]:
+        m = scheme.means(u)
+        r = scheme.rhs_means(u, 0.0, means=m)
+        weights = rng.random(3)
+        q = sum(w * (m + rng.random() * dt * r) for w in weights / weights.sum())
+        if isinstance(scheme, DirichletConvDiffScheme):
+            ref, ref_report, in_range = _dirichlet_cascade(scheme, q)
+        else:
+            ref, ref_report, in_range = _cascade(q, scheme.levels, scheme.bounds)
+        v, report = scheme.recover(q, 0.0)
+        assert v.dtype == ref.dtype and v.shape == ref.shape
+        assert v.tobytes() == ref.tobytes()
+        assert report == ref_report
+        branches.update(in_range)
+    assert branches == {True, False}  # a later level skipped, and one limited
 
 
 # ---------------------------------------------------------------------------
